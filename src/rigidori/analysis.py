@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (RESIDUAL_TOL, ConstraintSystem, build_system, residual)
+from .constraints import (RESIDUAL_TOL, ConstraintSystem, build_system,
+                          chain_products, loop_scalars, residual)
 from .errors import NotAFlex, NotDevelopable, NotOnVariety
-from .kinematics import TransferChain, build_spanning_tree
+from .kinematics import TransferChain, _chain_groups, build_spanning_tree
 from .model import TWO_PI, CreasePattern
 
 RANK_REL_TOL = 1e-8
@@ -21,22 +22,27 @@ def jacobian(system: ConstraintSystem, rho) -> np.ndarray:
     Columns of creases appearing in no loop are identically zero; such
     creases fold freely.
     """
-    rho = np.asarray(rho, dtype=float)
     J = np.zeros((system.residual_dim, system.n_vars))
-    for lp, off in zip(system.loops, system.row_offsets):
-        Jl = lp.jacobian(rho)
-        for col, var in enumerate(lp.vars):
-            J[off:off + lp.rows, var] += Jl[:, col]
+    for kind, _, rows, betas, offsets, vars_ in system.groups:
+        _, D, _ = chain_products(betas, offsets, vars_, rho, derivatives=True)
+        # a crease crossed twice by one loop adds both derivatives
+        np.add.at(J, (rows[:, None, :], vars_[:, :, None]), loop_scalars(D, kind))
     return J
 
 
-def numeric_rank(J: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+def _rank_split(J: np.ndarray, rel_tol: float = RANK_REL_TOL):
+    """Numeric rank of J under the relative cutoff, with orthonormal bases of
+    its null space (flexes, j x deg) and left null space (self-stresses)."""
+    m, n = J.shape
     if J.size == 0:
-        return 0
-    s = np.linalg.svd(J, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+        return 0, np.eye(n), np.zeros((m, m))
+    U, s, Vt = np.linalg.svd(J, full_matrices=True)
+    rank = int(np.sum(s > rel_tol * s[0])) if s[0] > 0 else 0
+    return rank, Vt[rank:].T, U[:, rank:]
+
+
+def numeric_rank(J: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+    return _rank_split(J, rel_tol)[0]
 
 
 @dataclass
@@ -48,7 +54,6 @@ class RigidityReport:
     stress_basis: np.ndarray     # (3i+6h) x corank, orthonormal
     first_order_rigid: bool
     regular: bool
-    rigid_by_first_order: bool   # first-order rigid states are rigid
     residual_norm: float
 
     @property
@@ -68,15 +73,7 @@ def classify(system: ConstraintSystem, rho, residual_tol: float = RESIDUAL_TOL,
         raise NotOnVariety(f"residual max-norm {res.max_norm:.3e} > {residual_tol:.1e}")
     J = jacobian(system, rho)
     m, n = J.shape
-    if J.size == 0:
-        rank = 0
-        flex = np.eye(n)
-        stress = np.zeros((m, m))
-    else:
-        U, s, Vt = np.linalg.svd(J, full_matrices=True)
-        rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-        flex = Vt[rank:].T
-        stress = U[:, rank:]
+    rank, flex, stress = _rank_split(J, rank_tol)
     deg = n - rank
     return RigidityReport(
         jacobian=J,
@@ -86,7 +83,6 @@ def classify(system: ConstraintSystem, rho, residual_tol: float = RESIDUAL_TOL,
         stress_basis=stress,
         first_order_rigid=(deg == 0),
         regular=(rank == min(m, n)),
-        rigid_by_first_order=(deg == 0),
         residual_norm=res.max_norm,
     )
 
@@ -115,35 +111,6 @@ def deg_formula_developable(pattern: CreasePattern) -> int:
 
 # -- angular velocities -----------------------------------------------------
 
-_SX3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-
-
-def _rz3(b):
-    c, s = math.cos(b), math.sin(b)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rx3(r):
-    c, s = math.cos(r), math.sin(r)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _chain_rotation_and_rate(chain: TransferChain, rho, rho_dot):
-    """Rotation part of the chain transform and its rate along rho_dot."""
-    factors = [(_rz3(st.beta), _rx3(rho[st.var]), st.var) for st in chain.steps]
-    prefix = [np.eye(3)]
-    for Rz, Rx, _ in factors:
-        prefix.append(prefix[-1] @ Rz @ Rx)
-    suffix = [np.eye(3)]
-    for Rz, Rx, _ in reversed(factors):
-        suffix.append(Rz @ Rx @ suffix[-1])
-    suffix.reverse()
-    dR = np.zeros((3, 3))
-    for k, (Rz, Rx, var) in enumerate(factors):
-        dR += rho_dot[var] * (prefix[k] @ Rz @ _SX3 @ Rx @ suffix[k + 1])
-    return prefix[-1], dR
-
-
 def angular_velocities(pattern: CreasePattern, rho, rho_dot,
                        system: ConstraintSystem | None = None,
                        chains: dict[int, TransferChain] | None = None,
@@ -171,20 +138,19 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
         chains = build_spanning_tree(pattern)
 
     omegas = np.zeros((len(pattern.panels), 3))
-    for p, chain in chains.items():
-        R, dR = _chain_rotation_and_rate(chain, rho, rho_dot)
-        Om = dR @ R.T
-        Om = 0.5 * (Om - Om.T)
-        omegas[p] = [Om[2, 1], Om[0, 2], Om[1, 0]]
-        # independent accumulation: omega jumps by rho_dot_k c_k per crossing
-        omega_rec = np.zeros(3)
-        part = np.eye(3)
-        for st in chain.steps:
-            part = part @ _rz3(st.beta)
-            omega_rec = omega_rec + rho_dot[st.var] * part[:, 0]
-            part = part @ _rx3(rho[st.var])
-        err = float(np.abs(omega_rec - omegas[p]).max())
-        if err > identity_tol * max(1.0, float(np.abs(rho_dot).max())):
+    limit = identity_tol * max(1.0, float(np.abs(rho_dot).max()))
+    panels = np.array(list(chains), dtype=np.intp)
+    for idx, betas, offsets, vars_ in _chain_groups(list(chains.values())):
+        T, D, P = chain_products(betas, offsets, vars_, rho, derivatives=True)
+        rate = rho_dot[vars_]
+        dR = np.einsum("ck,ckij->cij", rate, D[..., :3, :3])
+        omega = loop_scalars(dR @ T[..., :3, :3].swapaxes(-1, -2), "vertex")
+        omegas[panels[idx]] = omega
+        # independent accumulation: omega jumps by rho_dot_k c_k per crossing,
+        # c_k the x-axis of the frame after the k-th crossing
+        omega_rec = np.einsum("ck,cki->ci", rate, P[:, 1:, :3, 0])
+        err = float(np.abs(omega_rec - omega).max())
+        if err > limit:
             raise RuntimeError(f"angular-velocity identity violated: {err:.3e}")
     return omegas
 

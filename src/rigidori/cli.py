@@ -35,15 +35,13 @@ EXIT_LOCKED = 4
 class RunConfig:
     residual_tol: float = 1e-9
     rank_tol: float = 1e-8
-    collision_eps: float = 1e-9
     step_size: float = math.pi / 200
     corrector_tol: float = 1e-11
     max_steps: int = 100
     degrees: bool = False
 
     def validate(self):
-        for name in ("residual_tol", "rank_tol", "collision_eps",
-                     "step_size", "corrector_tol"):
+        for name in ("residual_tol", "rank_tol", "step_size", "corrector_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.step_size >= math.pi:
@@ -166,7 +164,8 @@ def cmd_track(args) -> int:
     path = tracking.track_flex(system, rho, direction,
                                steps=cfg.max_steps, step_size=cfg.step_size,
                                residual_tol=cfg.residual_tol,
-                               corrector_tol=cfg.corrector_tol)
+                               corrector_tol=cfg.corrector_tol,
+                               rank_tol=cfg.rank_tol)
     payload = {
         "termination": path.termination,
         "samples": [[float(x) for x in s] for s in path.samples],
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--residual-tol", dest="residual_tol", type=float)
     ap.add_argument("--rank-tol", dest="rank_tol", type=float)
-    ap.add_argument("--collision-eps", dest="collision_eps", type=float)
     ap.add_argument("--step-size", dest="step_size", type=float)
     ap.add_argument("--corrector-tol", dest="corrector_tol", type=float)
     ap.add_argument("--max-steps", dest="max_steps", type=int)

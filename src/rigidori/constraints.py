@@ -15,6 +15,9 @@ whose derivatives carry the tangent-space information.  Because the skew
 part also vanishes for half-turn rotations, the reported per-loop max-norm
 always includes the full matrix deviation from the identity, so spurious
 roots are never accepted as solved states.
+
+:func:`chain_products` is the one implementation of this product and its
+derivatives; the folded-state map and the single-vertex solvers use it too.
 """
 
 from __future__ import annotations
@@ -29,26 +32,71 @@ from .model import TWO_PI, CreasePattern
 RESIDUAL_TOL = 1e-9
 
 
-def rot_x4(rho: float) -> np.ndarray:
-    c, s = math.cos(rho), math.sin(rho)
-    return np.array([[1.0, 0, 0, 0],
-                     [0, c, -s, 0],
-                     [0, s, c, 0],
-                     [0, 0, 0, 1.0]])
+def chain_products(betas, offsets, vars, rho, derivatives: bool = False):
+    """Products of hinge factors along a stack of equal-length chains.
+
+    Chain c is the product over k of the 4x4 factors
+    ``F_ck = [Rz(betas[c, k]), offsets[c, k]] . Rx(rho[vars[c, k]])``, with
+    ``betas`` and ``vars`` of shape (C, n) and ``offsets`` (C, n, 2).  ``rho``
+    is one state (j,) or a batch (..., j).  Returns T, shape (..., C, 4, 4).
+    With ``derivatives`` returns (T, D, P): the prefix products P_k of the
+    first k factors, shape (..., C, n + 1, 4, 4), and the derivatives by the
+    k-th crossed angle D_k = P_k F_k S_x S_{k+1}, shape (..., C, n, 4, 4),
+    where S_x generates x-rotations and S_{k+1} is the suffix product.
+    """
+    betas = np.asarray(betas, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    ang = np.asarray(rho, dtype=float)[..., np.asarray(vars, dtype=np.intp)]
+    n = betas.shape[-1]
+    cb, sb = np.cos(betas), np.sin(betas)
+    cr, sr = np.cos(ang), np.sin(ang)
+    F = np.zeros(ang.shape + (4, 4))
+    F[..., 0, 0] = cb
+    F[..., 0, 1] = -sb * cr
+    F[..., 0, 2] = sb * sr
+    F[..., 0, 3] = offsets[..., 0]
+    F[..., 1, 0] = sb
+    F[..., 1, 1] = cb * cr
+    F[..., 1, 2] = -cb * sr
+    F[..., 1, 3] = offsets[..., 1]
+    F[..., 2, 1] = sr
+    F[..., 2, 2] = cr
+    F[..., 3, 3] = 1.0
+    P = np.empty(F.shape[:-3] + (n + 1, 4, 4))
+    P[..., 0, :, :] = np.eye(4)
+    for k in range(n):
+        np.matmul(P[..., k, :, :], F[..., k, :, :], out=P[..., k + 1, :, :])
+    if not derivatives:
+        return P[..., n, :, :]
+    S = np.empty(P.shape)
+    S[..., n, :, :] = np.eye(4)
+    for k in reversed(range(n)):
+        np.matmul(F[..., k, :, :], S[..., k + 1, :, :], out=S[..., k, :, :])
+    # P_{k+1} S_x: S_x moves column 2 to column 1 and minus column 1 to column 2
+    PS = np.zeros(F.shape)
+    PS[..., 1] = P[..., 1:, :, 2]
+    PS[..., 2] = -P[..., 1:, :, 1]
+    return P[..., n, :, :], PS @ S[..., 1:, :, :], P
 
 
-def hinge4(beta: float, a: float = 0.0, b: float = 0.0) -> np.ndarray:
-    c, s = math.cos(beta), math.sin(beta)
-    return np.array([[c, -s, 0, a],
-                     [s, c, 0, b],
-                     [0, 0, 1.0, 0],
-                     [0, 0, 0, 1.0]])
+def loop_scalars(T, kind: str) -> np.ndarray:
+    """Independent closure scalars of loop products ``T`` (..., 4, 4).
+
+    The skew part of the rotation block, plus the translation column for a
+    hole; shape (..., 3) or (..., 6).
+    """
+    R = T[..., :3, :3]
+    skew = (R - R.swapaxes(-1, -2))[..., [2, 0, 1], [1, 2, 0]] / 2.0
+    if kind == "hole":
+        return np.concatenate([skew, T[..., :3, 3]], axis=-1)
+    return skew
 
 
-# d/drho of rot_x4(rho) equals SX4 @ rot_x4(rho)
-SX4 = np.zeros((4, 4))
-SX4[1, 2] = -1.0
-SX4[2, 1] = 1.0
+def loop_deviation(T, kind: str) -> np.ndarray:
+    """Full elementwise deviation from the identity (spurious-root guard)."""
+    if kind == "hole":
+        return np.abs(T - np.eye(4)).max(axis=(-2, -1))
+    return np.abs(T[..., :3, :3] - np.eye(3)).max(axis=(-2, -1))
 
 
 @dataclass
@@ -72,49 +120,19 @@ class Loop:
         return 6 if self.kind == "hole" else 3
 
     def transform(self, rho: np.ndarray) -> np.ndarray:
-        T = np.eye(4)
-        for k, v in enumerate(self.vars):
-            T = T @ hinge4(self.betas[k], *self.offsets[k]) @ rot_x4(rho[v])
-        return T
+        return chain_products([self.betas], [self.offsets], [self.vars], rho)[..., 0, :, :]
 
     def extract(self, T: np.ndarray) -> np.ndarray:
-        r = [(T[2, 1] - T[1, 2]) / 2.0,
-             (T[0, 2] - T[2, 0]) / 2.0,
-             (T[1, 0] - T[0, 1]) / 2.0]
-        if self.kind == "hole":
-            r += [T[0, 3], T[1, 3], T[2, 3]]
-        return np.array(r)
+        return loop_scalars(T, self.kind)
 
     def max_deviation(self, T: np.ndarray) -> float:
-        """Full elementwise deviation from the identity (spurious-root guard)."""
-        if self.kind == "hole":
-            return float(np.abs(T - np.eye(4)).max())
-        return float(np.abs(T[:3, :3] - np.eye(3)).max())
-
-    def jacobian(self, rho: np.ndarray) -> np.ndarray:
-        """Rows x len(vars) derivative of the extracted residual."""
-        n = len(self.vars)
-        factors = [hinge4(self.betas[k], *self.offsets[k]) @ rot_x4(rho[self.vars[k]])
-                   for k in range(n)]
-        prefix = [np.eye(4)]
-        for F in factors:
-            prefix.append(prefix[-1] @ F)
-        suffix = [np.eye(4)]
-        for F in reversed(factors):
-            suffix.append(F @ suffix[-1])
-        suffix.reverse()
-        J = np.zeros((self.rows, n))
-        for k in range(n):
-            G = hinge4(self.betas[k], *self.offsets[k])
-            D = prefix[k] @ G @ SX4 @ rot_x4(rho[self.vars[k]]) @ suffix[k + 1]
-            J[:, k] = self.extract(D)
-        return J
+        return float(loop_deviation(T, self.kind))
 
 
 @dataclass
 class Residual:
     vector: np.ndarray
-    per_loop: list[dict]
+    loop_deviations: np.ndarray  # max_deviation of each loop, in system order
     max_norm: float
 
     def satisfied(self, tol: float = RESIDUAL_TOL) -> bool:
@@ -139,6 +157,21 @@ class ConstraintSystem:
         for lp in self.loops:
             in_loop.update(lp.vars)
         self.free_vars = sorted(set(range(self.n_vars)) - in_loop)
+        # loops of one kind and length, stacked for chain_products: (kind,
+        # positions in loops (C,), residual rows (C, 3|6), betas (C, n),
+        # offsets (C, n, 2), vars (C, n))
+        members: dict[tuple[str, int], list[int]] = {}
+        for i, lp in enumerate(self.loops):
+            members.setdefault((lp.kind, len(lp.vars)), []).append(i)
+        self.groups = []
+        for (kind, _), idx in members.items():
+            loops = [self.loops[i] for i in idx]
+            rows = (np.array([self.row_offsets[i] for i in idx])[:, None]
+                    + np.arange(loops[0].rows))
+            self.groups.append((kind, np.array(idx), rows,
+                                np.array([lp.betas for lp in loops]),
+                                np.array([lp.offsets for lp in loops]),
+                                np.array([lp.vars for lp in loops], dtype=np.intp)))
 
     @property
     def n_vertex_loops(self) -> int:
@@ -150,17 +183,13 @@ class ConstraintSystem:
 
 
 def residual(system: ConstraintSystem, rho) -> Residual:
-    rho = np.asarray(rho, dtype=float)
     vec = np.zeros(system.residual_dim)
-    per_loop = []
-    worst = 0.0
-    for lp, off in zip(system.loops, system.row_offsets):
-        T = lp.transform(rho)
-        vec[off:off + lp.rows] = lp.extract(T)
-        dev = lp.max_deviation(T)
-        worst = max(worst, dev)
-        per_loop.append({"kind": lp.kind, "label": lp.label, "max_dev": dev})
-    return Residual(vec, per_loop, worst)
+    dev = np.zeros(len(system.loops))
+    for kind, index, rows, betas, offsets, vars_ in system.groups:
+        T = chain_products(betas, offsets, vars_, rho)
+        vec[rows] = loop_scalars(T, kind)
+        dev[index] = loop_deviation(T, kind)
+    return Residual(vec, dev, float(dev.max(initial=0.0)))
 
 
 def build_system(pattern: CreasePattern) -> ConstraintSystem:

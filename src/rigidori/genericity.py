@@ -2,10 +2,12 @@
 
 The pattern graph H (all vertices and creases) determines whether almost
 all realizations are first-order rigid: H is generically rigid exactly when
-the five-fold planar dual 5H* packs six edge-disjoint spanning trees.  The
-packing itself runs a matroid-union augmentation that either produces the
-trees or a vertex partition violating the Nash-Williams/Tutte count, so
-every verdict ships with an independently checkable certificate.
+the five-fold panel-hinge graph packs six edge-disjoint spanning trees.  That
+graph is the planar dual H* restricted to panels: the outer face is left out
+(see :func:`panel_hinge_multigraph`).  The packing itself runs a
+matroid-union augmentation that either produces the trees or a vertex
+partition violating the Nash-Williams/Tutte count, so every verdict ships
+with an independently checkable certificate.
 """
 
 from __future__ import annotations

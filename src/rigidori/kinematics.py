@@ -9,7 +9,8 @@ post-multiplied product of per-crossing factors
     [rotate beta_k about z, translate (a_k, b_k)] . [rotate rho_k about x]
 
 and a material point p of panel K placed at the reference state rho0 moves
-to  T_K(rho) T_K(rho0)^{-1} p.
+to  T_K(rho) T_K(rho0)^{-1} p.  All chains of one length are evaluated by
+one call of ``constraints.chain_products``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import hinge4, rot_x4
+from .constraints import chain_products
 from .errors import PatternError, PointOutsidePanel
 from .model import CreasePattern
 
@@ -68,24 +69,50 @@ class PanelFrame:
 
 
 def _rigid_inverse(T: np.ndarray) -> np.ndarray:
-    R = T[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = R.T
-    out[:3, 3] = -R.T @ T[:3, 3]
+    Rt = T[..., :3, :3].swapaxes(-1, -2)
+    out = np.zeros(T.shape)
+    out[..., :3, :3] = Rt
+    out[..., :3, 3] = -(Rt @ T[..., :3, 3:])[..., 0]
+    out[..., 3, 3] = 1.0
     return out
 
 
-def transfer_matrix(chain: TransferChain, rho) -> np.ndarray:
+def _chain_groups(chains: list[TransferChain]):
+    """Stack the chains by length: (positions, betas, offsets, vars) per length."""
+    by_length: dict[int, list[int]] = {}
+    for i, chain in enumerate(chains):
+        by_length.setdefault(len(chain), []).append(i)
+    for n, idx in by_length.items():
+        steps = [st for i in idx for st in chains[i].steps]
+        yield (np.array(idx),
+               np.array([st.beta for st in steps]).reshape(len(idx), n),
+               np.array([(st.a, st.b) for st in steps]).reshape(len(idx), n, 2),
+               np.array([st.var for st in steps], dtype=np.intp).reshape(len(idx), n))
+
+
+def _transforms(chains: list[TransferChain], rho) -> np.ndarray:
+    """Chain transforms at a state (j,) or a batch (..., j): (..., len(chains), 4, 4)."""
     rho = np.asarray(rho, dtype=float)
-    T = np.eye(4)
-    for st in chain.steps:
-        T = T @ hinge4(st.beta, st.a, st.b) @ rot_x4(rho[st.var])
-    return T
+    out = np.empty(rho.shape[:-1] + (len(chains), 4, 4))
+    for idx, betas, offsets, vars_ in _chain_groups(chains):
+        out[..., idx, :, :] = chain_products(betas, offsets, vars_, rho)
+    return out
+
+
+def _placements(chains: list[TransferChain], rho, rho0) -> np.ndarray:
+    """Rigid motions taking the rho0 placement of each chain's panel to the rho one."""
+    T = _transforms(chains, np.stack([np.asarray(rho, dtype=float),
+                                      np.asarray(rho0, dtype=float)]))
+    return T[0] @ _rigid_inverse(T[1])
+
+
+def transfer_matrix(chain: TransferChain, rho) -> np.ndarray:
+    return _transforms([chain], rho)[0]
 
 
 def placement(chain: TransferChain, rho, rho0) -> np.ndarray:
     """Rigid motion taking the rho0 placement of the panel to the rho one."""
-    return transfer_matrix(chain, rho) @ _rigid_inverse(transfer_matrix(chain, rho0))
+    return _placements([chain], rho, rho0)[0]
 
 
 def build_spanning_tree(pattern: CreasePattern) -> dict[int, TransferChain]:
@@ -253,21 +280,19 @@ def fold_mesh(pattern: CreasePattern, rho, rho0=None,
     """Placed 3-d polygon per panel (indexed like ``pattern.panels``)."""
     if chains is None:
         chains = build_spanning_tree(pattern)
-    rho = np.asarray(rho, dtype=float)
-    out = []
+    panels = range(len(pattern.panels))
     if pattern.is_cone:
-        for p in range(len(pattern.panels)):
-            loc = _cone_local_polygon(pattern, p, cone_radius)
-            T = transfer_matrix(chains[p], rho)
-            out.append((T[:3, :3] @ loc.T).T + T[:3, 3])
-        return out
+        T = _transforms([chains[p] for p in panels], rho)
+        return [(T[p, :3, :3] @ _cone_local_polygon(pattern, p, cone_radius).T).T
+                + T[p, :3, 3] for p in panels]
     if rho0 is None:
         rho0 = pattern.initial_state().rho
-    for p in range(len(pattern.panels)):
-        T = placement(chains[p], rho, rho0)
+    T = _placements([chains[p] for p in panels], rho, rho0)
+    out = []
+    for p in panels:
         poly = pattern.panel_polygon(p)
         pts = np.column_stack([poly, np.zeros(len(poly)), np.ones(len(poly))])
-        out.append((T @ pts.T).T[:, :3])
+        out.append((T[p] @ pts.T).T[:, :3])
     return out
 
 
@@ -275,5 +300,6 @@ def panel_frames(pattern: CreasePattern, rho,
                  chains: dict[int, TransferChain] | None = None) -> list[PanelFrame]:
     if chains is None:
         chains = build_spanning_tree(pattern)
-    return [PanelFrame(p, transfer_matrix(chains[p], rho))
-            for p in sorted(chains)]
+    panels = sorted(chains)
+    T = _transforms([chains[p] for p in panels], rho)
+    return [PanelFrame(p, T[i]) for i, p in enumerate(panels)]

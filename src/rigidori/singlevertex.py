@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import vertex_loop
+from .constraints import chain_products, loop_deviation, loop_scalars
 from .errors import BadAngles, NoCase, NotDegree3
 from .model import TWO_PI
 
@@ -88,9 +88,10 @@ def _check_alphas(alphas, n_expected=None):
     return alphas
 
 
-def _loop_residual(alphas, rho) -> float:
-    lp = vertex_loop(alphas, list(range(len(alphas))))
-    return lp.max_deviation(lp.transform(np.asarray(rho, dtype=float)))
+def _vertex_products(alphas, R, derivatives=False):
+    """:func:`chain_products` of one vertex loop at a batch of states R (B, n)."""
+    n = len(alphas)
+    return chain_products([alphas], np.zeros((1, n, 2)), [np.arange(n)], R, derivatives)
 
 
 def solve_degree3(alphas) -> VertexSolutionSet:
@@ -134,16 +135,14 @@ def solve_degree3(alphas) -> VertexSolutionSet:
     if np.any(np.abs(cos_rho) > 1.0 + 1e-12):
         return sol  # no spherical triangle: empty configuration space
     mag = np.arccos(np.clip(cos_rho, -1.0, 1.0))
+    cands = mag * np.array([[s1, s2, s3] for s1 in (1, -1) for s2 in (1, -1)
+                            for s3 in (1, -1)], dtype=float)
+    dev = loop_deviation(_vertex_products(alphas, cands)[:, 0], "vertex")
     seen = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                cand = np.array([s1 * mag[0], s2 * mag[1], s3 * mag[2]])
-                if _loop_residual(alphas, cand) > SOLUTION_RESIDUAL_TOL:
-                    continue
-                if any(np.abs(cand - p).max() < 1e-9 for p in seen):
-                    continue
-                seen.append(cand)
+    for cand in cands[dev <= SOLUTION_RESIDUAL_TOL]:
+        if any(np.abs(cand - p).max() < 1e-9 for p in seen):
+            continue
+        seen.append(cand)
     sol.points = seen
     return sol
 
@@ -315,63 +314,25 @@ def explore_vertex(alphas, sweep_var: int = 0, grid_step: float = math.pi / 50,
     grid = np.arange(-math.pi, math.pi + grid_step / 2, grid_step)
     G = len(grid)
 
-    Zs = [np.array([[math.cos(a), -math.sin(a), 0.0],
-                    [math.sin(a), math.cos(a), 0.0],
-                    [0.0, 0.0, 1.0]]) for a in alphas]
-
     starts = [np.zeros(n), np.full(n, 1.5), np.full(n, -1.5)]
     B = G * len(starts)
     R = np.vstack([np.tile(x0, (G, 1)) for x0 in starts])
     R[:, sweep_var] = np.tile(grid, len(starts))
-    cols = list(range(n))
     active = np.ones(B, dtype=bool)
     eye3 = 1e-12 * np.eye(3)
     for _ in range(max_iter):
         if not active.any():
             break
-        T, D = _batched_vertex_T_and_J(Zs, R, cols)
-        res = np.stack([(T[:, 2, 1] - T[:, 1, 2]) / 2,
-                        (T[:, 0, 2] - T[:, 2, 0]) / 2,
-                        (T[:, 1, 0] - T[:, 0, 1]) / 2], axis=1)
-        # least-norm step: dx = D^T (D D^T)^-1 (-res)
-        DDt = D @ D.transpose(0, 2, 1) + eye3
-        lam = np.linalg.solve(DDt, -res[..., None])
-        dx = (D.transpose(0, 2, 1) @ lam)[..., 0]
+        T, D, _ = _vertex_products(alphas, R, derivatives=True)
+        res = loop_scalars(T[:, 0], "vertex")
+        Jt = loop_scalars(D[:, 0], "vertex")  # transposed loop Jacobians, (B, n, 3)
+        # least-norm step: dx = J^T (J J^T)^-1 (-res)
+        JJt = Jt.transpose(0, 2, 1) @ Jt + eye3
+        lam = np.linalg.solve(JJt, -res[..., None])
+        dx = (Jt @ lam)[..., 0]
         step = np.abs(dx).max(axis=1)
         R = R + np.where(active[:, None], dx, 0.0)
         active = active & (step > 1e-13) & (np.abs(R).max(axis=1) < 2.0 * math.pi)
-    T, _ = _batched_vertex_T_and_J(Zs, R, [])
-    dev = np.abs(T - np.eye(3)).max(axis=(1, 2))
+    dev = loop_deviation(_vertex_products(alphas, R)[:, 0], "vertex")
     ok = (dev <= residual_tol) & (np.abs(R).max(axis=1) <= math.pi + 1e-9)
     return [R[g].copy() for g in range(B) if ok[g]]
-
-
-def _batched_vertex_T_and_J(Zs, R, free_cols):
-    """Loop products and their derivatives w.r.t. the free angles, batched."""
-    G, n = R.shape
-    Xs = []
-    for j in range(n):
-        c, s = np.cos(R[:, j]), np.sin(R[:, j])
-        Xj = np.zeros((G, 3, 3))
-        Xj[:, 0, 0] = 1.0
-        Xj[:, 1, 1] = c
-        Xj[:, 1, 2] = -s
-        Xj[:, 2, 1] = s
-        Xj[:, 2, 2] = c
-        Xs.append(Xj)
-    prefix = [np.broadcast_to(np.eye(3), (G, 3, 3))]
-    for j in range(n):
-        prefix.append(prefix[-1] @ Zs[j] @ Xs[j])
-    suffix = [np.broadcast_to(np.eye(3), (G, 3, 3))]
-    for j in reversed(range(n)):
-        suffix.append(np.matmul(Zs[j][None, :, :], Xs[j]) @ suffix[-1])
-    suffix.reverse()
-    T = prefix[-1]
-    SX = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    D = np.zeros((G, 3, len(free_cols)))
-    for col, j in enumerate(free_cols):
-        M = prefix[j] @ Zs[j] @ SX @ Xs[j] @ suffix[j + 1]
-        D[:, 0, col] = (M[:, 2, 1] - M[:, 1, 2]) / 2
-        D[:, 1, col] = (M[:, 0, 2] - M[:, 2, 0]) / 2
-        D[:, 2, col] = (M[:, 1, 0] - M[:, 0, 1]) / 2
-    return T, D

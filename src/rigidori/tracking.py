@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import RANK_REL_TOL, jacobian, numeric_rank
+from .analysis import RANK_REL_TOL, _rank_split, jacobian
 from .constraints import (RESIDUAL_TOL, ConstraintSystem, Loop, residual)
 from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
                      NotForest, NotOnVariety)
@@ -71,28 +71,31 @@ def gauss_newton_correct(system: ConstraintSystem, rho,
     the corrected point close to the predictor.  Returns (rho, iterations,
     converged).
     """
+    return _correct(system, rho, tol, max_iter)[:3]
+
+
+def _correct(system, rho, tol=CORRECTOR_TOL, max_iter=MAX_CORRECTOR_ITER):
+    """:func:`gauss_newton_correct` that also returns the residual at its
+    rho (None after a step longer than 2 pi)."""
     rho = np.asarray(rho, dtype=float).copy()
     for it in range(max_iter):
         res = residual(system, rho)
         if res.max_norm <= tol:
-            return rho, it, True
+            return rho, it, True, res
         J = jacobian(system, rho)
         step, *_ = np.linalg.lstsq(J, -res.vector, rcond=1e-12)
         if not np.all(np.isfinite(step)):
-            return rho, it, False
+            return rho, it, False, res
         rho = rho + step
         if np.abs(step).max() > 2.0 * math.pi:
-            return rho, it + 1, False
-    return rho, max_iter, residual(system, rho).max_norm <= tol
+            return rho, it + 1, False, None
+    res = residual(system, rho)
+    return rho, max_iter, res.max_norm <= tol, res
 
 
 def _flex_basis(system, rho, rank_tol=RANK_REL_TOL):
-    J = jacobian(system, rho)
-    if J.size == 0:
-        return np.eye(system.n_vars), 0
-    U, s, Vt = np.linalg.svd(J, full_matrices=True)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    return Vt[rank:].T, rank
+    rank, basis, _ = _rank_split(jacobian(system, rho), rank_tol)
+    return basis, rank
 
 
 def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
@@ -128,7 +131,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
     pred_lengths: list[float] = []
     corr_iters: list[int] = []
     tangent = direction
-    max_rank_seen = numeric_rank(J, rank_tol)
+    max_rank_seen = _rank_split(J, rank_tol)[0]
     termination = "steps"
 
     for _ in range(steps):
@@ -136,11 +139,11 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
         accepted = None
         while h >= step_size / 64.0:
             pred = rho + h * tangent
-            cand, iters, ok = gauss_newton_correct(system, pred, corrector_tol)
-            if (ok and residual(system, cand).max_norm <= residual_tol
+            cand, iters, ok, res = _correct(system, pred, corrector_tol)
+            if (ok and res.max_norm <= residual_tol
                     and float(np.abs(cand - rho).max()) <= 3.0 * h):
                 # the continuity bound rejects correctors that jumped branches
-                accepted = (cand, iters, h)
+                accepted = (cand, iters, h, res.max_norm)
                 break
             h *= 0.5
         if accepted is None:
@@ -149,20 +152,20 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
             err.path = FoldPath(np.array(samples), residuals, "corrector-diverged",
                                 pred_lengths, corr_iters)
             raise err
-        cand, iters, h = accepted
+        cand, iters, h, cand_norm = accepted
 
         if float(np.abs(cand).max()) >= math.pi - 1e-12:
             samples.append(cand)
-            residuals.append(residual(system, cand).max_norm)
+            residuals.append(cand_norm)
             pred_lengths.append(h)
             corr_iters.append(iters)
             termination = "angle-bound"
             break
 
-        rank_here = numeric_rank(jacobian(system, cand), rank_tol)
+        rank_here, basis, _ = _rank_split(jacobian(system, cand), rank_tol)
         if rank_here < max_rank_seen:
             samples.append(cand)
-            residuals.append(residual(system, cand).max_norm)
+            residuals.append(cand_norm)
             pred_lengths.append(h)
             corr_iters.append(iters)
             termination = "branch-point"
@@ -174,11 +177,10 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
             break
 
         samples.append(cand)
-        residuals.append(residual(system, cand).max_norm)
+        residuals.append(cand_norm)
         pred_lengths.append(h)
         corr_iters.append(iters)
 
-        basis, _ = _flex_basis(system, cand, rank_tol)
         new_tan = basis @ (basis.T @ tangent)
         nrm = np.linalg.norm(new_tan)
         if nrm < 1e-9:
@@ -233,12 +235,12 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
             u = proj / pnorm
             h = min(step_size, float(np.linalg.norm(diff)))
             while h >= step_size / 64.0:
-                cand, _, ok = gauss_newton_correct(system, rho + h * u, corrector_tol)
-                if (ok and residual(system, cand).max_norm <= residual_tol
+                cand, _, ok, res = _correct(system, rho + h * u, corrector_tol)
+                if (ok and res.max_norm <= residual_tol
                         and float(np.abs(cand).max()) <= math.pi + 1e-9):
                     rho = cand
                     samples.append(rho.copy())
-                    residuals.append(residual(system, rho).max_norm)
+                    residuals.append(res.max_norm)
                     moved = True
                     break
                 h *= 0.5
@@ -278,8 +280,8 @@ def _hop_toward(system, rho, target, step_size, corrector_tol,
     u = diff / nrm
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
         h = min(step_size * scale, nrm)
-        cand, _, ok = gauss_newton_correct(system, rho + h * u, corrector_tol)
-        if not ok or residual(system, cand).max_norm > residual_tol:
+        cand, _, ok, res = _correct(system, rho + h * u, corrector_tol)
+        if not ok or res.max_norm > residual_tol:
             continue
         if float(np.abs(cand).max()) > math.pi + 1e-9:
             continue
@@ -457,8 +459,7 @@ def compose_forest(system: ConstraintSystem, rho, per_loop_paths: dict[int, Fold
     polished = []
     residuals = []
     for row in kept:
-        cand, _, ok = gauss_newton_correct(system, row, corrector_tol)
-        r = residual(system, cand)
+        cand, _, ok, r = _correct(system, row, corrector_tol)
         if not ok or not r.satisfied(residual_tol):
             raise CorrectorDiverged("composed sample failed to polish")
         polished.append(cand)

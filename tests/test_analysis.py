@@ -56,7 +56,7 @@ def test_cross_branch_point_is_regular_deg_one():
 def test_cube_corner_first_order_rigid():
     system = build_system(patterns.single_vertex_cone([math.pi / 2] * 3))
     rep = classify(system, np.array([math.pi / 2] * 3))
-    assert rep.deg == 0 and rep.first_order_rigid and rep.rigid_by_first_order
+    assert rep.deg == 0 and rep.first_order_rigid
 
 
 def test_classify_requires_variety():

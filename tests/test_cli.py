@@ -93,6 +93,15 @@ def test_track_and_mirror(fig2_file, capsys):
     assert np.abs(np.array(fwd["samples"]) + np.array(bwd["samples"])).max() < 1e-9
 
 
+def test_track_honours_rank_tol(fig2_file, capsys):
+    # a loose rank cutoff sees the rank drop on the way to the flat state
+    code, payload = run_cli(capsys, "--rank-tol", "0.1", "track", fig2_file,
+                            "--rho", "0.4,0,0.4,0", "--direction=-1,0,-1,0")
+    assert code == 0
+    assert payload["termination"] == "branch-point"
+    assert len(payload["samples"]) == 19
+
+
 def test_track_rigid_state_exit_code(tmp_path, capsys):
     f = tmp_path / "cone.json"
     cone = patterns.single_vertex_cone([math.pi / 2] * 3)

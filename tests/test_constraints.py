@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from rigidori import (build_system, is_flat_state, is_trivial_space, residual,
                       system_from_loops, vertex_loop)
-from rigidori.constraints import Loop, _hole_loop
+from rigidori.constraints import Loop, _hole_loop, chain_products
 from rigidori import patterns
 
 from conftest import random_solved_states
@@ -164,3 +165,28 @@ def test_loop_crease_order_starts_at_lowest_index():
     sys4 = build_system(patterns.cross_vertex())
     lp = sys4.loops[0]
     assert lp.vars[0] == min(lp.vars)
+
+
+@pytest.mark.parametrize("make,kind", [(patterns.pentagon_ring, "hole"),
+                                       (patterns.square_ring, "hole"),
+                                       (patterns.cross_vertex, "vertex")])
+def test_chain_products_batch_matches_single_states(make, kind, rng):
+    system = build_system(make())
+    (betas, offsets, vars_), = [g[3:] for g in system.groups if g[0] == kind]
+    states = rng.uniform(-math.pi, math.pi, (5, system.n_vars))
+    T, D, P = chain_products(betas, offsets, vars_, states, derivatives=True)
+    assert np.array_equal(T, chain_products(betas, offsets, vars_, states))
+    for b, rho in enumerate(states):
+        Tb, Db, Pb = chain_products(betas, offsets, vars_, rho, derivatives=True)
+        assert np.abs(T[b] - Tb).max() <= 1e-14
+        assert np.abs(D[b] - Db).max() <= 1e-14
+        assert np.abs(P[b] - Pb).max() <= 1e-14
+
+
+def test_zero_length_chain_is_identity_with_zero_rate():
+    T, D, P = chain_products(np.zeros((2, 0)), np.zeros((2, 0, 2)),
+                             np.zeros((2, 0), dtype=int), np.array([0.3, -1.2]),
+                             derivatives=True)
+    assert np.array_equal(T, np.broadcast_to(np.eye(4), (2, 4, 4)))
+    assert D.shape == (2, 0, 4, 4)
+    assert np.array_equal(P, np.broadcast_to(np.eye(4), (2, 1, 4, 4)))
