@@ -99,14 +99,11 @@ def write_obj(pattern, mesh, path, comments=()):
     lines = [f"# {c}" for c in comments]
     offset = 1
     face_lines = []
+    triangles = collision.panel_triangles(pattern).local
     for p, poly in enumerate(mesh):
         for x, y, z in poly:
             lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-        if pattern.is_cone:
-            tris = [(0, 1, 2)]
-        else:
-            tris = collision.ear_clip(pattern.panel_polygon(p))
-        for i, j, k in tris:
+        for i, j, k in triangles[p]:
             face_lines.append(f"f {offset + i} {offset + j} {offset + k}")
         offset += len(poly)
     Path(path).write_text("\n".join(lines + face_lines) + "\n", encoding="utf-8")

@@ -2,13 +2,23 @@
 
 States on the constraint variety still have to avoid interpenetration of
 panels; those excluded states form the boundary constraints of the
-configuration space.  Testing is panel-level: panels are ear-clipped into
-triangles once (in reference coordinates) and folded triangles are tested
-pairwise.  Separations below ``eps`` count as contact, never as crossing,
-because flat stacked states live exactly on the boundary of the excluded
-set.  Coplanar overlapping pairs are the slots where a stacking sign is
-meaningful; adjacent panels are skipped entirely (their hinge and their
-+-pi stacking are encoded by the folding angle itself).
+configuration space.  Panels are ear-clipped into triangles once per pattern
+(in reference coordinates, see ``panel_triangles``); ``check_state`` then
+runs three array stages over the folded triangles:
+
+* broad phase: every panel's 3-d box, and of the non-adjacent pairs only
+  those whose boxes overlap go on (Cohen, Lin, Manocha & Ponamgi,
+  "I-COLLIDE", 1995); adjacent panels are skipped entirely, their hinge and
+  their +-pi stacking being encoded by the folding angle itself;
+* crossing: Moller's interval test ("A fast triangle-triangle intersection
+  test", 1997) on every triangle pair of the non-coplanar panel pairs at
+  once.  Separations below ``eps`` count as contact, never as crossing,
+  because flat stacked states live exactly on the boundary of the excluded
+  set;
+* coplanar overlap: every triangle pair of the coplanar panel pairs is
+  clipped by one padded Sutherland-Hodgman pass and the areas are summed
+  per panel pair.  Coplanar overlapping pairs are the slots where a
+  stacking sign is meaningful.
 """
 
 from __future__ import annotations
@@ -68,130 +78,214 @@ def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     return tris
 
 
-# -- triangle-pair tests -----------------------------------------------------
+@dataclass(frozen=True)
+class PanelTriangles:
+    """Ear-clipped panels and the index arrays of the batched pair tests.
 
-def _plane(tri):
-    n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-    nrm = np.linalg.norm(n)
-    if nrm == 0.0:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    n = n / nrm
-    return n, float(n @ tri[0])
+    Vertex indices address the ``fold_mesh`` polygons concatenated in panel
+    order; the triangles of panel ``p`` are rows ``first[p]`` to
+    ``first[p] + count[p] - 1`` of ``corners``.
+    """
 
-
-def _plane_poly(pts: np.ndarray):
-    """Newell-method plane of a (possibly concave) planar polygon."""
-    n = np.zeros(3)
-    m = len(pts)
-    for i in range(m):
-        p, q = pts[i], pts[(i + 1) % m]
-        n[0] += (p[1] - q[1]) * (p[2] + q[2])
-        n[1] += (p[2] - q[2]) * (p[0] + q[0])
-        n[2] += (p[0] - q[0]) * (p[1] + q[1])
-    nrm = np.linalg.norm(n)
-    if nrm == 0.0:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    n = n / nrm
-    return n, float(n @ pts.mean(axis=0))
+    local: list[list[tuple[int, int, int]]]  # per panel, corners in its own polygon
+    corners: np.ndarray   # (T, 3) triangle corners
+    first: np.ndarray     # (P,) first triangle of each panel
+    count: np.ndarray     # (P,) triangles per panel
+    ring: np.ndarray      # (P, L) polygon vertices, padded with the first vertex
+    size: np.ndarray      # (P,) polygon vertex counts
+    pairs: np.ndarray     # (M, 2) non-adjacent panel pairs a < b, lexicographic
 
 
-def _interval_on_line(tri, dists, direction, eps):
-    """Projection interval of the triangle's plane-crossing onto the line."""
-    proj = tri @ direction
-    cand = []
-    for i in range(3):
-        if abs(dists[i]) <= eps:
-            cand.append(proj[i])
-        j = (i + 1) % 3
-        if dists[i] * dists[j] < 0.0:
-            t = dists[i] / (dists[i] - dists[j])
-            cand.append(proj[i] + t * (proj[j] - proj[i]))
-    return min(cand), max(cand)
+def panel_triangles(pattern: CreasePattern) -> PanelTriangles:
+    """Triangles and non-adjacent panel pairs of a pattern, built once per pattern."""
+    if pattern._panel_triangles is None:
+        pattern._panel_triangles = _triangulate(pattern)
+    return pattern._panel_triangles
 
 
-def _clip_convex(subject, cx):
-    """Sutherland-Hodgman clip of a convex 2-d polygon against another."""
-    out = [p for p in subject]
-    m = len(cx)
-    for i in range(m):
-        a, b = cx[i], cx[(i + 1) % m]
-        edge = (b[0] - a[0], b[1] - a[1])
-        inp = out
-        out = []
-        if not inp:
-            break
-        prev = inp[-1]
-        # interior of the CCW clipper lies to the left of each directed edge
-        prev_in = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= -1e-15
-        for cur in inp:
-            cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= -1e-15
-            if cur_in != prev_in:
-                den = (edge[0] * (cur[1] - prev[1]) - edge[1] * (cur[0] - prev[0]))
-                if abs(den) > 1e-300:
-                    t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / den
-                    out.append((prev[0] + t * (cur[0] - prev[0]),
-                                prev[1] + t * (cur[1] - prev[1])))
-            if cur_in:
-                out.append(cur)
-            prev, prev_in = cur, cur_in
+def _triangulate(pattern: CreasePattern) -> PanelTriangles:
+    n = len(pattern.panels)
+    if pattern.is_cone:
+        # fold_mesh places every cone panel as one triangle
+        local = [[(0, 1, 2)] for _ in range(n)]
+        size = np.full(n, 3)
+    else:
+        local = [ear_clip(pattern.panel_polygon(p)) for p in range(n)]
+        size = np.array([len(cycle) for cycle in pattern.panels])
+    start = np.cumsum(size) - size
+    count = np.array([len(ts) for ts in local])
+    corners = (np.array([t for ts in local for t in ts], dtype=np.intp).reshape(-1, 3)
+               + np.repeat(start, count)[:, None])
+    slot = np.arange(size.max())
+    ring = start[:, None] + np.where(slot < size[:, None], slot, 0)
+    adjacent = np.zeros((n, n), dtype=bool)
+    for p, adj in enumerate(pattern.panel_adjacency):
+        adjacent[p, [q for q, _ in adj]] = True
+    a, b = np.triu_indices(n, 1)
+    apart = ~adjacent[a, b]
+    return PanelTriangles(local, corners, np.cumsum(count) - count, count, ring,
+                          size, np.stack([a[apart], b[apart]], axis=1))
+
+
+# -- batched pair tests ------------------------------------------------------
+
+def _unit_planes(normal, point):
+    """Unit normals and offsets of planes; a zero normal gives the z = 0 plane."""
+    nrm = np.linalg.norm(normal, axis=-1)
+    flat = nrm == 0.0
+    normal = np.where(flat[:, None], (0.0, 0.0, 1.0),
+                      normal / np.where(flat, 1.0, nrm)[:, None])
+    return normal, np.where(flat, 0.0, np.einsum("ij,ij->i", normal, point))
+
+
+def _panel_planes(ring, size):
+    """Newell plane of every placed panel polygon through its centroid.
+
+    ``ring`` is (P, L, 3), each polygon padded with its first vertex; the
+    padding adds only zero-length edges to the Newell sums.
+    """
+    p, q = ring, np.roll(ring, -1, axis=1)
+    normal = np.stack([(p[..., 1] - q[..., 1]) * (p[..., 2] + q[..., 2]),
+                       (p[..., 2] - q[..., 2]) * (p[..., 0] + q[..., 0]),
+                       (p[..., 0] - q[..., 0]) * (p[..., 1] + q[..., 1])],
+                      axis=-1).sum(axis=1)
+    real = np.arange(ring.shape[1]) < size[:, None]
+    centroid = np.where(real[..., None], ring, 0.0).sum(axis=1) / size[:, None]
+    return _unit_planes(normal, centroid)
+
+
+def _tri_planes(tris):
+    """Unit normal and offset of every triangle of a (T, 3, 3) stack."""
+    return _unit_planes(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
+                        tris[:, 0])
+
+
+def _tri_pairs(tri: PanelTriangles, a, b):
+    """Every (triangle of a, triangle of b) of the panel pairs, a's triangles outer.
+
+    Returns the panel-pair index of each triangle pair and both triangles.
+    """
+    na, nb = tri.count[a], tri.count[b]
+    per = na * nb
+    pair = np.repeat(np.arange(len(a)), per)
+    k = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+    return (pair, tri.first[a][pair] + k // nb[pair],
+            tri.first[b][pair] + k % nb[pair])
+
+
+def _intervals(tris, dist, direction, eps):
+    """Projection interval of each triangle's plane crossing onto its line."""
+    proj = np.einsum("kij,kj->ki", tris, direction)
+    dist_next, proj_next = np.roll(dist, -1, axis=1), np.roll(proj, -1, axis=1)
+    on = np.abs(dist) <= eps
+    cut = dist * dist_next < 0.0
+    t = np.divide(dist, dist - dist_next, out=np.zeros_like(dist), where=cut)
+    at = proj + t * (proj_next - proj)
+    lo = np.minimum(np.where(on, proj, np.inf).min(axis=1),
+                    np.where(cut, at, np.inf).min(axis=1))
+    hi = np.maximum(np.where(on, proj, -np.inf).max(axis=1),
+                    np.where(cut, at, -np.inf).max(axis=1))
+    return lo, hi
+
+
+def _crossing_flags(t1, n1, d1, t2, n2, d2, eps):
+    """Do triangle pairs interpenetrate beyond the eps contact band (Moller)?
+
+    ``t1``, ``t2`` are (K, 3, 3) triangle stacks with their planes ``(n, d)``.
+    A pair crosses only when each triangle straddles the other's plane by
+    more than ``eps`` and their intervals on the planes' common line overlap
+    by more than ``eps``; parallel planes count as contact.
+    """
+    s2 = np.einsum("kij,kj->ki", t2, n1) - d1[:, None]
+    s1 = np.einsum("kij,kj->ki", t1, n2) - d2[:, None]
+    direction = np.cross(n1, n2)
+    nrm = np.linalg.norm(direction, axis=1)
+    live = ((s2.min(axis=1) <= -eps) & (s2.max(axis=1) >= eps)
+            & (s1.min(axis=1) <= -eps) & (s1.max(axis=1) >= eps) & (nrm >= 1e-14))
+    direction = direction[live] / nrm[live, None]
+    lo1, hi1 = _intervals(t1[live], s1[live], direction, eps)
+    lo2, hi2 = _intervals(t2[live], s2[live], direction, eps)
+    out = np.zeros(len(t1), dtype=bool)
+    out[live] = np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > eps
     return out
 
 
-def _poly_area2(pts):
-    if len(pts) < 3:
-        return 0.0
-    s = 0.0
-    for i in range(len(pts)):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % len(pts)]
-        s += x1 * y2 - x2 * y1
-    return abs(s) / 2.0
+def _clip_half_plane(poly, count, a, edge):
+    """One Sutherland-Hodgman step on padded polygons (K, C, 2) with ``count`` vertices.
+
+    Keeps the part left of the directed line through ``a`` along ``edge``;
+    every input vertex emits the edge crossing before it, then itself.
+    """
+    rows = np.arange(len(poly))[:, None]
+    slot = np.arange(poly.shape[1])
+    real = slot < count[:, None]
+    back = (slot - 1) % np.maximum(count, 1)[:, None]
+    prev = poly[rows, back]
+    ex, ey = edge[:, None, 0], edge[:, None, 1]
+    ax, ay = a[:, None, 0], a[:, None, 1]
+    inside = ex * (poly[..., 1] - ay) - ey * (poly[..., 0] - ax) >= -1e-15
+    den = ex * (poly[..., 1] - prev[..., 1]) - ey * (poly[..., 0] - prev[..., 0])
+    cut = real & (inside != inside[rows, back]) & (np.abs(den) > 1e-300)
+    t = np.divide(ex * (ay - prev[..., 1]) - ey * (ax - prev[..., 0]), den,
+                  out=np.zeros(den.shape), where=cut)
+    emitted = np.stack([prev + t[..., None] * (poly - prev), poly], axis=2)
+    width = 2 * poly.shape[1]
+    valid = np.stack([cut, real & inside], axis=2).reshape(len(poly), width)
+    new_count = valid.sum(axis=1)
+    out = np.zeros((len(poly), int(new_count.max(initial=0)), 2))
+    r, c = np.nonzero(valid)
+    out[r, (np.cumsum(valid, axis=1) - 1)[r, c]] = emitted.reshape(len(poly), width, 2)[r, c]
+    return out, new_count
 
 
-def _tri2_is_ccw(t):
-    return _cross2(t[0], t[1], t[2]) > 0
+def _overlap_areas(subject, clipper):
+    """Area of the intersection of each pair of 2-d triangles (K, 3, 2).
+
+    Both triangles are made counter-clockwise, then ``subject`` is clipped
+    by the three edges of ``clipper``; a clipped triangle has at most six
+    vertices.
+    """
+    tris = []
+    for t in (subject, clipper):
+        ccw = _cross2(t[:, 0].T, t[:, 1].T, t[:, 2].T) > 0
+        tris.append(np.where(ccw[:, None, None], t, t[:, ::-1]))
+    poly, count = tris[0], np.full(len(subject), 3)
+    for i in range(3):
+        a = tris[1][:, i]
+        poly, count = _clip_half_plane(poly, count, a, tris[1][:, (i + 1) % 3] - a)
+    nxt = poly[np.arange(len(poly))[:, None],
+               (np.arange(poly.shape[1]) + 1) % np.maximum(count, 1)[:, None]]
+    term = poly[..., 0] * nxt[..., 1] - nxt[..., 0] * poly[..., 1]
+    term = np.where(np.arange(poly.shape[1]) < count[:, None], term, 0.0)
+    area2 = np.zeros(len(poly))
+    for i in range(poly.shape[1]):   # in vertex order, as a scalar shoelace sum
+        area2 += term[:, i]
+    return np.where(count >= 3, np.abs(area2) / 2.0, 0.0)
 
 
-def _coplanar_overlap_area(trisA, trisB, normal):
-    """Total 2-d overlap area of two coplanar triangle soups."""
-    # build an in-plane basis
-    axis = np.argmax(np.abs(normal))
-    u = np.zeros(3)
-    u[(axis + 1) % 3] = 1.0
-    u = u - (u @ normal) * normal
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    area = 0.0
-    for ta in trisA:
-        pa = [(p @ u, p @ v) for p in ta]
-        if not _tri2_is_ccw(pa):
-            pa.reverse()
-        for tb in trisB:
-            pb = [(p @ u, p @ v) for p in tb]
-            if not _tri2_is_ccw(pb):
-                pb.reverse()
-            area += _poly_area2(_clip_convex(pa, pb))
-    return area
+def _in_plane_axes(normal):
+    """In-plane axes (u, v) of unit normals, u along the axis after the largest."""
+    axis = np.argmax(np.abs(normal), axis=1)
+    u = np.zeros(normal.shape)
+    u[np.arange(len(normal)), (axis + 1) % 3] = 1.0
+    u -= np.einsum("ij,ij->i", u, normal)[:, None] * normal
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u, np.cross(normal, u)
 
 
-def _tri_pair_crossing(t1, t2, eps):
-    """Do two triangles interpenetrate (beyond the eps contact band)?"""
-    n1, d1 = _plane(t1)
-    s2 = t2 @ n1 - d1
-    if s2.min() > -eps or s2.max() < eps:
-        return False  # t2 touches or sits on one side of t1's plane
-    n2, d2 = _plane(t2)
-    s1 = t1 @ n2 - d2
-    if s1.min() > -eps or s1.max() < eps:
-        return False
-    direction = np.cross(n1, n2)
-    nrm = np.linalg.norm(direction)
-    if nrm < 1e-14:
-        return False  # parallel but both straddling cannot happen; treat as contact
-    direction = direction / nrm
-    lo1, hi1 = _interval_on_line(t1, s1, direction, eps)
-    lo2, hi2 = _interval_on_line(t2, s2, direction, eps)
-    return min(hi1, hi2) - max(lo1, lo2) > eps
+def _coplanar_areas(verts, tri: PanelTriangles, a, b, normal):
+    """Total overlap area of the triangles of coplanar panel pairs, in a's plane."""
+    pair, t1, t2 = _tri_pairs(tri, a, b)
+    u, v = _in_plane_axes(normal[a])
+    u, v = u[pair], v[pair]
+
+    def flatten(t):
+        pts = verts[tri.corners[t]]
+        return np.stack([np.einsum("kij,kj->ki", pts, u),
+                         np.einsum("kij,kj->ki", pts, v)], axis=-1)
+
+    return np.bincount(pair, weights=_overlap_areas(flatten(t1), flatten(t2)),
+                       minlength=len(a))
 
 
 # -- reports -----------------------------------------------------------------
@@ -246,41 +340,40 @@ def check_state(pattern: CreasePattern, rho, lambda_pairs=None, rho0=None,
         raise NotOnVariety(f"residual max-norm {res.max_norm:.3e} > {residual_tol:.1e}")
     if chains is None:
         chains = build_spanning_tree(pattern)
-    mesh = fold_mesh(pattern, rho, rho0=rho0, chains=chains)
+    tri = panel_triangles(pattern)
+    verts = np.concatenate(fold_mesh(pattern, rho, rho0=rho0, chains=chains))
+    ring = verts[tri.ring]
+    normal, offset = _panel_planes(ring, tri.size)
 
-    if pattern.is_cone:
-        tri_ids = [[(0, 1, 2)] for _ in pattern.panels]
-    else:
-        tri_ids = [ear_clip(pattern.panel_polygon(p)) for p in range(len(pattern.panels))]
-    tris = [[np.array([mesh[p][i], mesh[p][j], mesh[p][k]]) for i, j, k in tri_ids[p]]
-            for p in range(len(pattern.panels))]
+    # Broad phase.  Coplanar panels lie within 10 eps of each other's planes,
+    # so boxes padded by 10 eps prune no pair that could overlap or cross.
+    pad = 10 * eps
+    lo, hi = ring.min(axis=1) - pad, ring.max(axis=1) + pad
+    a, b = tri.pairs.T
+    near = np.all((lo[a] <= hi[b]) & (lo[b] <= hi[a]), axis=1)
+    a, b = a[near], b[near]
 
-    adjacent = set()
-    for p in range(len(pattern.panels)):
-        for q, _ in pattern.panel_adjacency[p]:
-            adjacent.add((min(p, q), max(p, q)))
+    def spread(p, q):
+        """Largest distance of q's vertices from p's plane, pair by pair."""
+        return np.abs(np.einsum("mlj,mj->ml", ring[q], normal[p])
+                      - offset[p][:, None]).max(axis=1)
 
-    crossing = []
-    overlaps = []
-    n_panels = len(pattern.panels)
-    planes = [_plane_poly(np.asarray(mesh[p])) for p in range(n_panels)]
-    for a in range(n_panels):
-        na, da = planes[a]
-        for b in range(a + 1, n_panels):
-            if (a, b) in adjacent:
-                continue
-            nb, db = planes[b]
-            align = float(na @ nb)
-            same_plane = (abs(abs(align) - 1.0) <= 1e-9
-                          and abs(da - math.copysign(1.0, align) * db) <= eps * 10)
-            if same_plane:
-                area = _coplanar_overlap_area(tris[a], tris[b], na)
-                if area > EPS_AREA:
-                    overlaps.append((a, b))
-                continue
-            if any(_tri_pair_crossing(ta, tb, eps)
-                   for ta in tris[a] for tb in tris[b]):
-                crossing.append((a, b))
+    # coplanar: every vertex of each panel lies within 10 eps of the other's
+    # plane, which does not depend on where the pattern sits in space
+    coplanar = (spread(a, b) <= 10 * eps) & (spread(b, a) <= 10 * eps)
+
+    ca, cb = a[coplanar], b[coplanar]
+    stacked = _coplanar_areas(verts, tri, ca, cb, normal) > EPS_AREA
+    overlaps = list(zip(ca[stacked].tolist(), cb[stacked].tolist()))
+
+    xa, xb = a[~coplanar], b[~coplanar]
+    pair, t1, t2 = _tri_pairs(tri, xa, xb)
+    tris = verts[tri.corners]
+    tri_n, tri_d = _tri_planes(tris)
+    hit = _crossing_flags(tris[t1], tri_n[t1], tri_d[t1],
+                          tris[t2], tri_n[t2], tri_d[t2], eps)
+    crossed = np.bincount(pair[hit], minlength=len(xa)) > 0
+    crossing = list(zip(xa[crossed].tolist(), xb[crossed].tolist()))
 
     table, conflicts = _normalize_lambda(lambda_pairs)
     overlap_set = set(overlaps)

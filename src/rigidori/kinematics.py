@@ -288,11 +288,17 @@ def fold_mesh(pattern: CreasePattern, rho, rho0=None,
     if rho0 is None:
         rho0 = pattern.initial_state().rho
     T = _placements([chains[p] for p in panels], rho, rho0)
-    out = []
+    by_length: dict[int, list[int]] = {}
     for p in panels:
-        poly = pattern.panel_polygon(p)
-        pts = np.column_stack([poly, np.zeros(len(poly)), np.ones(len(poly))])
-        out.append((T[p] @ pts.T).T[:, :3])
+        by_length.setdefault(len(pattern.panels[p]), []).append(p)
+    out: list[np.ndarray] = [None] * len(panels)
+    for idx in by_length.values():
+        polys = pattern.vertices[[pattern.panels[p] for p in idx]]
+        # reference points lie at z = 0, so only the first two columns act
+        placed = (np.einsum("kij,klj->kli", T[idx, :3, :2], polys)
+                  + T[idx, :3, 3][:, None])
+        for p, pts in zip(idx, placed):
+            out[p] = pts
     return out
 
 

@@ -177,6 +177,8 @@ class CreasePattern:
             v for v in range(self.n_vertices)
             if v not in boundary and self.vertex_creases[v]
         )
+        # filled on first use by collision.panel_triangles
+        self._panel_triangles = None
 
     def _ray_angle(self, v: int, crease_index: int) -> float:
         c = self.creases[crease_index]

@@ -1,4 +1,4 @@
-"""Compare the chain-product outputs of two rigidori source trees.
+"""Compare the chain-product and contact outputs of two rigidori source trees.
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC [--tol 1e-12]
 
@@ -10,9 +10,24 @@ those states.  Both record the residual vector and max-norm, the Jacobian,
 the transfer matrix of every spanning-tree chain and every ``fold_mesh``
 polygon.  The largest difference of each output is printed; the exit code is
 1 when one exceeds ``--tol``.
+
+Both runs also record ``check_state`` reports: on every request the
+benchmark's ``contact`` workload can make (each line fold of the 8x8 grid in
+both line orders and each Miura state, all with their mirrors) and on one
+line fold of ``sheared_grid(16, 16)``, on the strip of five squares folded
+flat, whose stacks hold three panels, and on the test fixtures of
+``rigidori.patterns`` at their flat state, at every crease folded to +pi or
+-pi and at seeded random angles (off the variety, so their residual is not
+checked).  Every state is checked without
+stacking signs and with signs that the OLD run picks from its own overlap
+pairs, so that signs, stray pairs and cyclic orders are compared as well.
+Reports must match exactly (verdict, crossing pairs, overlap pairs with
+signs, stray pairs, cyclic orders and conflicts); the number of equal
+reports is printed, and any difference makes the exit code 1.
 """
 
 import argparse
+import json
 import math
 import os
 import subprocess
@@ -57,7 +72,90 @@ def dump(out: str, states_from: str | None) -> None:
                 [ro.transfer_matrix(chains[p], rho) for p in sorted(chains)])
             for p, poly in enumerate(ro.fold_mesh(pat, rho, chains=chains)):
                 data[f"{name}/{i}/fold_mesh/{p}"] = poly
+    dump_contact(data, given)
     np.savez(out, **data)
+
+
+def report_text(report) -> np.ndarray:
+    return np.array(json.dumps({
+        "verdict": report.verdict,
+        "crossing_pairs": [list(p) for p in report.crossing_pairs],
+        "overlap_pairs": [[*r["pair"], r["sign"]] for r in report.overlap_pairs],
+        "stray_pairs": [list(p) for p in report.stray_pairs],
+        "cyclic_orders": report.cyclic_orders,
+        "conflicts": report.conflicts}))
+
+
+def dump_contact(data: dict, given) -> None:
+    import rigidori as ro
+    from rigidori import patterns
+    from rigidori.constraints import RESIDUAL_TOL
+    from workloads import (LINE_FOLDS, MIURA_SCALES, SHEAR, Loaded,
+                           horizontal_lines, miura_state)
+
+    def line_fold(pat, folds):
+        rho = np.zeros(pat.n_vars)
+        for var_ids, angle in zip(horizontal_lines(pat), folds):
+            rho[var_ids] = angle
+        return rho
+
+    cases = {"contact8": patterns.sheared_grid(8, 8, shear=SHEAR),
+             "contact16": patterns.sheared_grid(16, 16, shear=SHEAR),
+             "strip5": patterns.sheared_grid(5, 1, shear=0.0)}
+    fixtures = {"square_diagonal": patterns.square_diagonal(),
+                "cross_vertex": patterns.cross_vertex(),
+                "cross_with_free_crease": patterns.cross_with_free_crease(),
+                "three_squares": patterns.three_squares(),
+                "hexagon_fan": patterns.hexagon_fan(),
+                "miura_3x3": patterns.miura_3x3(),
+                "pentagon_ring": patterns.pentagon_ring(),
+                "square_ring": patterns.square_ring(),
+                "forest_two_vertices": patterns.forest_two_vertices(),
+                "cone3": patterns.single_vertex_cone([1.9, 2.1, 1.7]),
+                "jittered_grid4": patterns.sheared_grid(4, 4, jitter=0.05, seed=3)}
+    cases.update({f"fixture_{k}": v for k, v in fixtures.items()})
+    rng = np.random.default_rng(11)
+    for name, pat in cases.items():
+        system = ro.build_system(pat)
+        chains = ro.build_spanning_tree(pat)
+        if given is not None:
+            states = given[f"{name}/states"]
+        elif name == "contact8":
+            base = [line_fold(pat, f) for folds in LINE_FOLDS
+                    for f in (folds, folds[::-1])]
+            base += [miura_state(Loaded(pat, system, chains), s)[0]
+                     for s in MIURA_SCALES]
+            states = np.array([sign * rho for rho in base for sign in (1, -1)])
+        elif name == "contact16":
+            states = line_fold(pat, LINE_FOLDS[3] + LINE_FOLDS[4] + (0.0,))[None]
+        elif name == "strip5":
+            states = np.array([np.full(pat.n_vars, sign * math.pi) for sign in (1, -1)])
+        else:
+            # the flat state, every crease at +-pi, and seeded random states;
+            # these need not lie on the variety, so the residual is not checked
+            states = np.vstack([np.zeros(pat.n_vars), np.full(pat.n_vars, math.pi),
+                                np.full(pat.n_vars, -math.pi),
+                                rng.uniform(-math.pi, math.pi, (6, pat.n_vars))])
+        tol = math.inf if name.startswith("fixture_") else RESIDUAL_TOL
+        data[f"{name}/states"] = states
+        for i, rho in enumerate(states):
+            plain = ro.check_state(pat, rho, residual_tol=tol, system=system,
+                                   chains=chains)
+            data[f"{name}/{i}/check_state"] = report_text(plain)
+            if given is not None:
+                signs = given[f"{name}/{i}/lambda"]
+            else:
+                # a above b above c, but c above a, wherever (a, b), (b, c)
+                # and (a, c) are all slots; plus one pair that is not a slot
+                slots = {r["pair"] for r in plain.overlap_pairs}
+                signs = np.array([(a, c, -1 if any((a, b) in slots and (b, c) in slots
+                                                   for b in range(a + 1, c)) else 1)
+                                  for a, c in sorted(slots)]
+                                 + [(0, len(pat.panels) - 1, 1)], dtype=int)
+            data[f"{name}/{i}/lambda"] = signs
+            signed = ro.check_state(pat, rho, lambda_pairs=signs.tolist(),
+                                    residual_tol=tol, system=system, chains=chains)
+            data[f"{name}/{i}/check_state_signed"] = report_text(signed)
 
 
 def run(src: str, out: Path, states_from: Path | None = None) -> None:
@@ -88,14 +186,26 @@ def main() -> int:
             print("the two trees record different outputs")
             return 1
         worst: dict[str, float] = {}
+        reports: dict[str, list[int]] = {}   # output -> [equal, total]
         for key in a.files:
             name, *rest = key.split("/")
             what = f"{name} {rest[1] if len(rest) > 1 else rest[0]}"
+            if a[key].dtype.kind == "U":
+                same = bool(a[key] == b[key])
+                tally = reports.setdefault(what, [0, 0])
+                tally[0] += same
+                tally[1] += 1
+                if not same:
+                    print(f"{key} differs:\n  old {a[key]}\n  new {b[key]}")
+                continue
             diff = float(np.abs(a[key] - b[key]).max(initial=0.0))
             worst[what] = max(worst.get(what, 0.0), diff)
     for what, diff in sorted(worst.items()):
-        print(f"{what:32s} {diff:.3e}")
-    return 0 if max(worst.values()) <= args.tol else 1
+        print(f"{what:40s} {diff:.3e}")
+    for what, (equal, total) in sorted(reports.items()):
+        print(f"{what:40s} {equal}/{total} reports equal")
+    return 0 if (max(worst.values()) <= args.tol
+                 and all(e == t for e, t in reports.values())) else 1
 
 
 if __name__ == "__main__":
