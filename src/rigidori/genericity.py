@@ -4,10 +4,9 @@ The pattern graph H (all vertices and creases) determines whether almost
 all realizations are first-order rigid: H is generically rigid exactly when
 the five-fold panel-hinge graph packs six edge-disjoint spanning trees.  That
 graph is the planar dual H* restricted to panels: the outer face is left out
-(see :func:`panel_hinge_multigraph`).  The packing itself runs a
-matroid-union augmentation that either produces the trees or a vertex
-partition violating the Nash-Williams/Tutte count, so every verdict ships
-with an independently checkable certificate.
+(see :func:`panel_hinge_multigraph`).  One (6, 6) pebble game decides the
+packing.  A rigid verdict ships the six trees, a flexible one the maximal
+rigid regions: a vertex partition violating the Nash-Williams/Tutte count.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Disconnected
+from .errors import Disconnected, RigidOrigamiError
 from .model import CreasePattern
 
 
@@ -122,7 +121,9 @@ class TreePacking:
     k: int
     n_vertices: int
     trees: list[list[int]] = field(default_factory=list)       # edge ids
-    partition: list[list[int]] | None = None                   # NWT violator
+    # if infeasible: the maximal rigid regions (vertex sets whose induced edges
+    # pack k trees), with fewer than k*(parts-1) edges between them
+    partition: list[list[int]] | None = None
 
     def violation(self, edges) -> tuple[int, int] | None:
         """(cross-edge count, k*(parts-1)) of the certificate partition."""
@@ -137,21 +138,15 @@ class TreePacking:
 
 
 class _ForestSet:
-    """k edge-disjoint forests over n vertices with cycle queries."""
+    """k edge-disjoint forests over n vertices with path queries."""
 
     def __init__(self, n: int, k: int, edges):
-        self.n = n
-        self.k = k
         self.edges = edges
         self.adj = [[[] for _ in range(n)] for _ in range(k)]  # (nbr, edge id)
         self.holder: dict[int, int] = {}
 
-    def connected(self, i: int, a: int, b: int) -> bool:
-        return self._path(i, a, b) is not None
-
-    def _path(self, i: int, a: int, b: int):
-        if a == b:
-            return []
+    def path(self, i: int, a: int, b: int):
+        """Edge ids of the a-b path in forest i (a != b), or None if apart."""
         prev = {a: None}
         q = deque([a])
         while q:
@@ -162,18 +157,12 @@ class _ForestSet:
                 prev[y] = (x, eid)
                 if y == b:
                     path = []
-                    cur = y
-                    while prev[cur] is not None:
-                        px, eid2 = prev[cur]
-                        path.append(eid2)
-                        cur = px
+                    while prev[y] is not None:
+                        y, eid = prev[y]
+                        path.append(eid)
                     return path
                 q.append(y)
         return None
-
-    def fundamental_cycle(self, i: int, eid: int):
-        u, v = self.edges[eid]
-        return self._path(i, u, v)
 
     def add(self, i: int, eid: int):
         u, v = self.edges[eid]
@@ -188,32 +177,29 @@ class _ForestSet:
         self.adj[i][v] = [(y, e) for (y, e) in self.adj[i][v] if e != eid]
 
 
-def _try_place(fs: _ForestSet, e0: int):
-    """Augmenting search placing edge e0; returns labels on failure."""
+def _try_place(fs: _ForestSet, e0: int) -> bool:
+    """Matroid-union augmenting search placing edge e0 in some forest."""
     label: dict[int, tuple[int, int] | None] = {e0: None}
     q = deque([e0])
     while q:
         f = q.popleft()
-        u, v = fs.edges[f]
-        for i in range(fs.k):
-            if not fs.connected(i, u, v):
+        for i in range(len(fs.adj)):
+            cycle = fs.path(i, *fs.edges[f])
+            if cycle is None:
                 # unwind the label chain, moving each edge one forest over
-                g, ins = f, i
-                while True:
+                step = (f, i)
+                while step is not None:
+                    g, ins = step
                     if g in fs.holder:
                         fs.remove(g)
                     fs.add(ins, g)
-                    prev = label[g]
-                    if prev is None:
-                        return True, label
-                    h, j = prev
-                    g, ins = h, j
-            else:
-                for g in fs.fundamental_cycle(i, f):
-                    if g not in label:
-                        label[g] = (f, i)
-                        q.append(g)
-    return False, label
+                    step = label[g]
+                return True
+            for g in cycle:
+                if g not in label:
+                    label[g] = (f, i)
+                    q.append(g)
+    return False
 
 
 def _is_connected(n: int, edges) -> bool:
@@ -234,101 +220,116 @@ def _is_connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
-def _pack_once(n: int, edges, k: int):
-    """One packing pass; returns (forest set, failed edge ids).
+class _PebbleGame:
+    """(k, k) pebble game (Lee and Streinu) with tight components.
 
-    Edges that fail after every forest spans are expected (surplus parallel
-    copies); failures only witness infeasibility while some forest is still
-    incomplete.
+    Each vertex owns k pebbles; an accepted edge takes one from an end and
+    points away from it (``out[x]`` lists the heads, at most k), so at most
+    k|X| - k accepted edges lie in any vertex set X.  Union-find classes are
+    tight (exactly k|X| - k); tight sets that meet have a tight union.
     """
-    fs = _ForestSet(n, k, edges)
-    failed = []
-    placed = 0
-    target = k * (n - 1)
-    for eid in range(len(edges)):
-        u, v = edges[eid]
-        if u == v:
-            continue
-        if placed == target:
-            break  # all forests already span
-        ok, _ = _try_place(fs, eid)
-        if ok:
-            placed += 1
-        else:
-            failed.append(eid)
-    return fs, failed
+
+    def __init__(self, n: int, k: int):
+        self.k = k
+        self.peb = [k] * n
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        self.root = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = self.root
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    def _pull(self, a: int, b: int):
+        """Free a pebble on a by reversing a path avoiding b; on failure return
+        the vertices searched, closed under out-edges, free pebbles on a, b only."""
+        out, prev, stack = self.out, {a: None, b: None}, [a]
+        while stack:
+            x = stack.pop()
+            for y in out[x]:
+                if y in prev:
+                    continue
+                prev[y] = x
+                if self.peb[y]:
+                    self.peb[y] -= 1
+                    self.peb[a] += 1
+                    while y != a:
+                        x = prev[y]
+                        out[x].remove(y)
+                        out[y].append(x)
+                        y = x
+                    return None
+                stack.append(y)
+        return prev
+
+    def dependent(self, u: int, v: int) -> bool:
+        """Whether one more edge uv would break sparsity; records its tight set.
+
+        Ends in one class, loops included, are dependent at once, so parallel
+        copies run out.  Pebbles are pulled to u, then to v (whose paths
+        avoid the set u reached); short of k + 1 both form a tight set.
+        """
+        if self.find(u) == self.find(v):
+            return True
+        reached = {}
+        for a, b in ((u, v), (v, u)):
+            while self.peb[u] + self.peb[v] <= self.k:
+                seen = self._pull(a, b)
+                if seen is not None:
+                    reached.update(seen)
+                    break
+            else:
+                return False
+        for x in reached:
+            self.root[self.find(x)] = self.find(u)
+        return True
 
 
 def pack_spanning_trees(n_vertices: int, edges, k: int = 6) -> TreePacking:
     """k edge-disjoint spanning trees of a multigraph, or a counting certificate.
 
-    Feasible answers return the trees (verified disjoint and spanning by the
-    caller at will); infeasible answers return a partition of the vertices
-    with fewer than k*(parts-1) cross edges, found by contracting saturated
-    clumps until the deficit is a plain edge count.
+    One pebble game pass keeps a maximal (k, k)-sparse subset; the trees exist
+    exactly when it has k(n - 1) edges, split into k forests by matroid-union
+    augmentation.  Otherwise accepted edges across classes are offered again,
+    so the classes grow to the maximal tight sets; rejected edges lie inside
+    them, so fewer than k(parts - 1) edges cross.  Edge ids index ``edges``.
     """
     edges = [(int(u), int(v)) for u, v in edges]
     if not _is_connected(n_vertices, edges):
         raise Disconnected("tree packing needs a connected multigraph")
 
-    fs, failed = _pack_once(n_vertices, edges, k)
-    sizes = [sum(len(a) for a in fs.adj[i]) // 2 for i in range(k)]
-    if all(s == n_vertices - 1 for s in sizes):
-        trees = [[] for _ in range(k)]
-        for eid, i in fs.holder.items():
-            trees[i].append(eid)
-        for t in trees:
-            t.sort()
-        if len(edges) < k * (n_vertices - 1):
-            raise AssertionError("packed more trees than edges allow")
+    game = _PebbleGame(n_vertices, k)
+    target = k * (n_vertices - 1)
+    accepted = []
+    for eid, (u, v) in enumerate(edges):
+        if len(accepted) == target:
+            break  # the whole vertex set is tight: every later edge is dependent
+        if not game.dependent(u, v):
+            a, b = (u, v) if game.peb[u] else (v, u)
+            game.peb[a] -= 1
+            game.out[a].append(b)
+            accepted.append(eid)
+
+    if len(accepted) == target:
+        fs = _ForestSet(n_vertices, k, edges)
+        for eid in accepted:
+            if not _try_place(fs, eid):
+                raise AssertionError("sparse edge set does not split into k forests")
+        trees = [sorted(e for e, i in fs.holder.items() if i == t) for t in range(k)]
         return TreePacking(True, k, n_vertices, trees=trees)
 
-    # iterative clump contraction for the certificate partition
-    blocks = [[v] for v in range(n_vertices)]
-    cur_edges = list(edges)
-    while True:
-        n_cur = len(blocks)
-        live = [(u, v) for u, v in cur_edges if u != v]
-        if len(live) < k * (n_cur - 1):
-            packing = TreePacking(False, k, n_vertices,
-                                  partition=[sorted(b) for b in blocks])
-            chk = packing.violation(edges)
-            if chk is None or chk[0] >= chk[1]:
-                raise AssertionError("certificate construction failed")
-            return packing
-        fs, failed = _pack_once(n_cur, live, k)
-        sizes = [sum(len(a) for a in fs.adj[i]) // 2 for i in range(k)]
-        if all(s == n_cur - 1 for s in sizes) or not failed:
-            raise AssertionError("contracted instance unexpectedly feasible")
-        _, label = _try_place(fs, failed[0])
-        # vertex clump spanned by the labelled edges; every forest restricted
-        # to it is connected, so it is over-saturated and safe to contract
-        W = set()
-        for eid in label:
-            u, v = live[eid]
-            W.add(u)
-            W.add(v)
-        if len(W) >= n_cur:
-            raise AssertionError("saturated clump spans the whole graph")
-        W_sorted = sorted(W)
-        keep = W_sorted[0]
-        remap = {}
-        new_blocks = []
-        for old in range(n_cur):
-            if old in W and old != keep:
-                continue
-            remap[old] = len(new_blocks)
-            if old == keep:
-                merged = []
-                for w in W_sorted:
-                    merged.extend(blocks[w])
-                new_blocks.append(sorted(merged))
-            else:
-                new_blocks.append(blocks[old])
-        for w in W_sorted:
-            remap[w] = remap[keep]
-        cur_edges = [(remap[u], remap[v]) for u, v in live]
-        blocks = new_blocks
+    for eid in accepted:
+        game.dependent(*edges[eid])
+    classes: dict[int, list[int]] = {}
+    for x in range(n_vertices):
+        classes.setdefault(game.find(x), []).append(x)
+    packing = TreePacking(False, k, n_vertices, partition=list(classes.values()))
+    cross, bound = packing.violation(edges)
+    if cross >= bound:
+        raise AssertionError("certificate construction failed")
+    return packing
 
 
 def verify_packing(packing: TreePacking, n_vertices: int, edges) -> bool:
@@ -406,24 +407,21 @@ def is_generically_rigid(pattern: CreasePattern, sample_realizations: int = 0,
     if sample_realizations > 0 and not pattern.is_cone:
         from .analysis import classify
         from .constraints import build_system
-        from .model import CreasePattern as CP, validate_pattern
+        from .model import validate_pattern
         rng = np.random.default_rng(seed)
         scale = float(np.abs(pattern.vertices).max() or 1.0)
-        found = False
         for _ in range(sample_realizations):
             jitter = rng.normal(scale=0.02 * scale, size=pattern.vertices.shape)
             try:
-                pat2 = validate_pattern(CP(pattern.vertices + jitter,
-                                           pattern.creases, pattern.panels,
-                                           pattern.holes, pattern.base_panel))
+                pat2 = validate_pattern(CreasePattern(
+                    pattern.vertices + jitter, pattern.creases, pattern.panels,
+                    pattern.holes, pattern.base_panel))
                 rep = classify(build_system(pat2), np.zeros(pat2.n_vars))
-            except Exception:
-                continue
+            except RigidOrigamiError:
+                continue  # e.g. the jitter made the pattern non-planar
             report.samples.append({"deg": rep.deg, "rank": rep.rank})
-            if rep.deg == 0:
-                found = True
-        report.sampled_rigid_realization = found
-        report.disagreement = (found != packing.feasible)
+        report.sampled_rigid_realization = any(s["deg"] == 0 for s in report.samples)
+        report.disagreement = report.sampled_rigid_realization != packing.feasible
     return report
 
 

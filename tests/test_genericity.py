@@ -1,11 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 
+import rigidori.analysis
 from rigidori.errors import Disconnected
 from rigidori.genericity import (dual_graph, is_generically_rigid, multigraph,
                                  pack_spanning_trees, panel_hinge_multigraph,
                                  to_dot, verify_packing)
+from rigidori.model import Crease, CreasePattern, validate_pattern
 from rigidori import patterns
 
 from conftest import exhaustive_tree_packing, random_connected_multigraph
@@ -80,6 +83,61 @@ def test_packing_matches_exhaustive_oracle(rng):
                 assert cross < bound, (n, edges, k, got.partition)
 
 
+def _set_partitions(n):
+    """Every partition of range(n) as a block-label row (restricted growth)."""
+    rows = [[]]
+    for _ in range(n):
+        rows = [r + [b] for r in rows for b in range(max(r, default=-1) + 2)]
+    labels = np.array(rows, dtype=int).reshape(len(rows), n)
+    return labels, labels.max(axis=1, initial=-1) + 1
+
+
+_PARTITIONS = {n: _set_partitions(n) for n in range(8)}
+
+
+def _nwt_packs(vertices, edges, k):
+    """Nash-Williams/Tutte: k trees span ``vertices`` with ``edges`` inside it
+    iff every partition of it has at least k*(parts-1) cross edges."""
+    index = {v: i for i, v in enumerate(vertices)}
+    inside = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+    labels, parts = _PARTITIONS[len(vertices)]
+    a, b = np.array(inside, dtype=int).reshape(-1, 2).T
+    cross = (labels[:, a] != labels[:, b]).sum(axis=1)
+    return bool(np.all(cross >= k * (parts - 1)))
+
+
+def test_packing_matches_nash_williams_tutte_oracle(rng):
+    """Denser instances than the exhaustive oracle: up to 5n edges with loops
+    and parallels on n <= 7; an infeasible answer must name the maximal rigid
+    regions, i.e. every part packs k trees and every rigid set lies in a part."""
+    infeasible = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        edges += [(int(rng.integers(0, n)), int(rng.integers(0, n)))
+                  for _ in range(int(rng.integers(0, 4 * n + 2)))]
+        rng.shuffle(edges)
+        for k in (1, 2, 3, 4):
+            got = pack_spanning_trees(n, edges, k=k)
+            assert got.feasible == _nwt_packs(range(n), edges, k), (n, edges, k)
+            if got.feasible:
+                assert verify_packing(got, n, edges)
+                continue
+            infeasible += 1
+            cross, bound = got.violation(edges)
+            assert cross < bound
+            assert sorted(v for part in got.partition for v in part) == list(range(n))
+            block = {v: i for i, part in enumerate(got.partition) for v in part}
+            for part in got.partition:
+                assert _nwt_packs(part, edges, k), (n, edges, k, got.partition)
+            for size in range(2, n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    if _nwt_packs(subset, edges, k):
+                        assert len({block[v] for v in subset}) == 1, (
+                            n, edges, k, got.partition, subset)
+    assert infeasible > 100
+
+
 def test_packing_invariant_under_relabelling(rng):
     for _ in range(20):
         n, edges = random_connected_multigraph(rng, max_edges=8)
@@ -133,3 +191,56 @@ def test_dot_export():
     text = to_dot(d)
     assert text.startswith("graph G {") and "f0 -- " in text
     assert "v0 -- v1" in to_dot(d, which="pattern")
+
+
+def test_sampling_errors_outside_the_toolkit_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in classify")
+
+    monkeypatch.setattr(rigidori.analysis, "classify", broken)
+    with pytest.raises(RuntimeError, match="bug in classify"):
+        is_generically_rigid(patterns.miura_3x3(), sample_realizations=2)
+
+
+def test_256_panel_grid_generically_rigid():
+    pat = patterns.sheared_grid(16, 16)
+    rep = is_generically_rigid(pat)
+    assert rep.generically_rigid
+    assert verify_packing(rep.packing, len(pat.panels), multigraph(rep.body_edges, 5))
+
+
+def _dumbbell(block):
+    """Two block x block grids of unit squares joined by a one-panel strip."""
+    index = {}
+
+    def vid(x, y):
+        return index.setdefault((x, y), len(index))
+
+    cells = [(x, y) for y in range(block) for x in range(block)]
+    cells += [(block, 0)]
+    cells += [(x + block + 1, y) for y in range(block) for x in range(block)]
+    panels = [[vid(x, y), vid(x + 1, y), vid(x + 1, y + 1), vid(x, y + 1)]
+              for x, y in cells]
+    sides = {}
+    for cycle in panels:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            key = (min(a, b), max(a, b))
+            sides[key] = sides.get(key, 0) + 1
+    creases = [Crease(a, b, "inner" if n == 2 else "outer")
+               for (a, b), n in sorted(sides.items())]
+    coords = sorted(index, key=index.get)
+    return validate_pattern(CreasePattern(coords, creases, panels))
+
+
+def test_201_panel_dumbbell_certificate_names_rigid_blocks():
+    pat = _dumbbell(10)
+    n = len(pat.panels)
+    assert n == 201
+    rep = is_generically_rigid(pat)
+    assert not rep.generically_rigid and rep.counting_lower_bound
+    parts = rep.packing.partition
+    assert sorted(v for part in parts for v in part) == list(range(n))
+    cross, bound = rep.packing.violation(multigraph(rep.body_edges, 5))
+    assert cross < bound
+    # the two blocks are rigid and the strip's hinges are not
+    assert sorted(map(len, parts)) == [1, 100, 100]

@@ -1,4 +1,4 @@
-"""Compare the chain-product and contact outputs of two rigidori source trees.
+"""Compare the chain-product, contact and genericity outputs of two rigidori trees.
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC [--tol 1e-12]
 
@@ -24,6 +24,15 @@ pairs, so that signs, stray pairs and cyclic orders are compared as well.
 Reports must match exactly (verdict, crossing pairs, overlap pairs with
 signs, stray pairs, cyclic orders and conflicts); the number of equal
 reports is printed, and any difference makes the exit code 1.
+
+Both runs also record the ``is_generically_rigid`` verdict on the same
+fixtures, on ``sheared_grid(n, n)`` for n = 5, 6, 7, 10 and 16 and on the
+benchmark's two dumbbells.  The trees or the partition may legitimately
+differ between the runs, so each run checks its own certificate with the
+checker of this file (the trees are edge-disjoint spanning trees of the
+five-fold hinge graph; the partition has fewer than 6(parts - 1) cross
+edges) and only the verdict and that check are compared.  A different
+verdict or a failed check makes the exit code 1.
 """
 
 import argparse
@@ -73,7 +82,74 @@ def dump(out: str, states_from: str | None) -> None:
             for p, poly in enumerate(ro.fold_mesh(pat, rho, chains=chains)):
                 data[f"{name}/{i}/fold_mesh/{p}"] = poly
     dump_contact(data, given)
+    dump_generic(data)
     np.savez(out, **data)
+
+
+def fixtures() -> dict:
+    from rigidori import patterns
+    return {"plain_square": patterns.plain_square(),
+            "square_diagonal": patterns.square_diagonal(),
+            "cross_vertex": patterns.cross_vertex(),
+            "cross_with_free_crease": patterns.cross_with_free_crease(),
+            "three_squares": patterns.three_squares(),
+            "hexagon_fan": patterns.hexagon_fan(),
+            "miura_3x3": patterns.miura_3x3(),
+            "pentagon_ring": patterns.pentagon_ring(),
+            "square_ring": patterns.square_ring(),
+            "forest_two_vertices": patterns.forest_two_vertices(),
+            "cone3": patterns.single_vertex_cone([1.9, 2.1, 1.7]),
+            "jittered_grid4": patterns.sheared_grid(4, 4, jitter=0.05, seed=3)}
+
+
+def certificate_valid(packing, n: int, edges) -> bool:
+    """Trees: k edge-disjoint spanning trees; else a partition of range(n)
+    with fewer than k*(parts-1) cross edges."""
+    if packing.feasible:
+        used = [e for tree in packing.trees for e in tree]
+        if len(packing.trees) != packing.k or len(used) != len(set(used)):
+            return False
+        for tree in packing.trees:
+            root = list(range(n))
+            for u, v in (edges[e] for e in tree):
+                while root[u] != u:
+                    u = root[u]
+                while root[v] != v:
+                    v = root[v]
+                if u == v:
+                    return False
+                root[u] = v
+            if len(tree) != n - 1:
+                return False
+        return True
+    block = {v: i for i, part in enumerate(packing.partition) for v in part}
+    if sorted(v for part in packing.partition for v in part) != list(range(n)):
+        return False
+    cross = sum(block[u] != block[v] for u, v in edges)
+    return cross < packing.k * (len(packing.partition) - 1)
+
+
+def dump_generic(data: dict) -> None:
+    import rigidori as ro
+    from rigidori import patterns
+    from rigidori.errors import RigidOrigamiError
+    from workloads import SHEAR, dumbbell
+
+    cases = {f"grid{n}": patterns.sheared_grid(n, n, shear=SHEAR)
+             for n in (5, 6, 7, 10, 16)}
+    cases.update({f"dumbbell_row{row}": dumbbell(4, row=row) for row in (0, 3)})
+    cases.update(fixtures())
+    for name, pat in cases.items():
+        try:
+            rep = ro.is_generically_rigid(pat)
+        except RigidOrigamiError as exc:
+            verdict = {"error": type(exc).__name__}
+        else:
+            edges = ro.multigraph(rep.body_edges, 5)
+            valid = certificate_valid(rep.packing, len(pat.panels), edges)
+            verdict = {"generically_rigid": rep.generically_rigid,
+                       "certificate": "valid" if valid else "INVALID"}
+        data[f"generic/{name}/verdict"] = np.array(json.dumps(verdict, sort_keys=True))
 
 
 def report_text(report) -> np.ndarray:
@@ -102,18 +178,7 @@ def dump_contact(data: dict, given) -> None:
     cases = {"contact8": patterns.sheared_grid(8, 8, shear=SHEAR),
              "contact16": patterns.sheared_grid(16, 16, shear=SHEAR),
              "strip5": patterns.sheared_grid(5, 1, shear=0.0)}
-    fixtures = {"square_diagonal": patterns.square_diagonal(),
-                "cross_vertex": patterns.cross_vertex(),
-                "cross_with_free_crease": patterns.cross_with_free_crease(),
-                "three_squares": patterns.three_squares(),
-                "hexagon_fan": patterns.hexagon_fan(),
-                "miura_3x3": patterns.miura_3x3(),
-                "pentagon_ring": patterns.pentagon_ring(),
-                "square_ring": patterns.square_ring(),
-                "forest_two_vertices": patterns.forest_two_vertices(),
-                "cone3": patterns.single_vertex_cone([1.9, 2.1, 1.7]),
-                "jittered_grid4": patterns.sheared_grid(4, 4, jitter=0.05, seed=3)}
-    cases.update({f"fixture_{k}": v for k, v in fixtures.items()})
+    cases.update({f"fixture_{k}": v for k, v in fixtures().items()})
     rng = np.random.default_rng(11)
     for name, pat in cases.items():
         system = ro.build_system(pat)
@@ -191,7 +256,7 @@ def main() -> int:
             name, *rest = key.split("/")
             what = f"{name} {rest[1] if len(rest) > 1 else rest[0]}"
             if a[key].dtype.kind == "U":
-                same = bool(a[key] == b[key])
+                same = bool(a[key] == b[key]) and "INVALID" not in str(b[key])
                 tally = reports.setdefault(what, [0, 0])
                 tally[0] += same
                 tally[1] += 1
