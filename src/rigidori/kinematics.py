@@ -90,19 +90,38 @@ def _chain_groups(chains: list[TransferChain]):
                np.array([st.var for st in steps], dtype=np.intp).reshape(len(idx), n))
 
 
-def _transforms(chains: list[TransferChain], rho) -> np.ndarray:
-    """Chain transforms at a state (j,) or a batch (..., j): (..., len(chains), 4, 4)."""
+def _panel_groups(pattern: CreasePattern, ordered: list[TransferChain]) -> list:
+    """``_chain_groups`` of one chain per panel, in panel order.
+
+    Chains equal to the pattern's own spanning tree, as those of
+    ``build_spanning_tree(pattern)`` are, get the tree's groups, built on
+    first use and cached on the pattern; any other chains are grouped
+    afresh.
+    """
+    _, tree = _tree(pattern)
+    if ordered != tree:
+        return list(_chain_groups(ordered))
+    if pattern._tree_groups is None:
+        pattern._tree_groups = list(_chain_groups(tree))
+    return pattern._tree_groups
+
+
+def _transforms(chains: list[TransferChain], rho, groups=None) -> np.ndarray:
+    """Chain transforms at a state (j,) or a batch (..., j): (..., len(chains), 4, 4).
+
+    ``groups`` are ``_chain_groups(chains)`` when the caller has them.
+    """
     rho = np.asarray(rho, dtype=float)
     out = np.empty(rho.shape[:-1] + (len(chains), 4, 4))
-    for idx, betas, offsets, vars_ in _chain_groups(chains):
+    for idx, betas, offsets, vars_ in groups or _chain_groups(chains):
         out[..., idx, :, :] = chain_products(betas, offsets, vars_, rho)
     return out
 
 
-def _placements(chains: list[TransferChain], rho, rho0) -> np.ndarray:
+def _placements(chains: list[TransferChain], rho, rho0, groups=None) -> np.ndarray:
     """Rigid motions taking the rho0 placement of each chain's panel to the rho one."""
     T = _transforms(chains, np.stack([np.asarray(rho, dtype=float),
-                                      np.asarray(rho0, dtype=float)]))
+                                      np.asarray(rho0, dtype=float)]), groups)
     return T[0] @ _rigid_inverse(T[1])
 
 
@@ -116,10 +135,25 @@ def placement(chain: TransferChain, rho, rho0) -> np.ndarray:
 
 
 def build_spanning_tree(pattern: CreasePattern) -> dict[int, TransferChain]:
-    """Breadth-first chains from the base panel, lowest-index tie-breaking."""
-    if pattern.is_cone:
-        return _cone_chains(pattern)
+    """Breadth-first chains from the base panel, lowest-index tie-breaking.
 
+    The tree is built once per pattern; each call returns new chains over
+    its (frozen) steps.
+    """
+    tree, _ = _tree(pattern)
+    return {p: TransferChain(c.panel, list(c.steps)) for p, c in tree.items()}
+
+
+def _tree(pattern: CreasePattern):
+    """The pattern's spanning tree and its chains in panel order, built
+    once and cached on the pattern."""
+    if pattern._tree is None:
+        tree = _cone_chains(pattern) if pattern.is_cone else _bfs_chains(pattern)
+        pattern._tree = (tree, [tree[p] for p in sorted(tree)])
+    return pattern._tree
+
+
+def _bfs_chains(pattern: CreasePattern) -> dict[int, TransferChain]:
     chains = {pattern.base_panel: TransferChain(pattern.base_panel, [])}
     frame = {pattern.base_panel: (0.0, np.zeros(2))}  # (x-axis angle, origin)
     queue = deque([pattern.base_panel])
@@ -279,15 +313,17 @@ def fold_mesh(pattern: CreasePattern, rho, rho0=None,
               cone_radius: float = 1.0) -> list[np.ndarray]:
     """Placed 3-d polygon per panel (indexed like ``pattern.panels``)."""
     if chains is None:
-        chains = build_spanning_tree(pattern)
+        chains, _ = _tree(pattern)
     panels = range(len(pattern.panels))
+    ordered = [chains[p] for p in panels]
+    groups = _panel_groups(pattern, ordered)
     if pattern.is_cone:
-        T = _transforms([chains[p] for p in panels], rho)
+        T = _transforms(ordered, rho, groups)
         return [(T[p, :3, :3] @ _cone_local_polygon(pattern, p, cone_radius).T).T
                 + T[p, :3, 3] for p in panels]
     if rho0 is None:
         rho0 = pattern.initial_state().rho
-    T = _placements([chains[p] for p in panels], rho, rho0)
+    T = _placements(ordered, rho, rho0, groups)
     by_length: dict[int, list[int]] = {}
     for p in panels:
         by_length.setdefault(len(pattern.panels[p]), []).append(p)

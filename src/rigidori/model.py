@@ -177,8 +177,11 @@ class CreasePattern:
             v for v in range(self.n_vertices)
             if v not in boundary and self.vertex_creases[v]
         )
-        # filled on first use by collision.panel_triangles
+        # filled on first use by collision.panel_triangles, kinematics._tree
+        # (the spanning tree) and kinematics._panel_groups (its chain groups)
         self._panel_triangles = None
+        self._tree = None
+        self._tree_groups = None
 
     def _ray_angle(self, v: int, crease_index: int) -> float:
         c = self.creases[crease_index]

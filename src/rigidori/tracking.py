@@ -1,11 +1,25 @@
 """Numeric rigid-folding motions on the constraint variety.
 
 ``track_flex`` runs tangent-predictor / Gauss-Newton-corrector continuation
-from a solved state.  ``track_to`` steers greedily toward a target state and
-switches branches through special points when the straight tangent stalls;
-its failure is evidence (not proof) that the endpoints are not 0-connected.
+from a solved state on a row factor of the Jacobian.  Its rows are
+redundant (each self-stress is a linear relation among them), so the
+tracker decides the rank r by SVD (``analysis._rank_split``) only at the
+start of a segment and after a rank event, and there picks r independent
+rows J_r by greedy pivoted Gram-Schmidt.  In between, with G = J_r J_r^T,
+the corrector's least-norm step is J_r^T G^-1 (-res[rows]) and the tangent
+projection is t - J_r^T G^-1 J_r t.  Every Jacobian the tracker evaluates,
+each corrector iterate included, first certifies the rows
+(``_row_solve``): the rank is r with the margin ``ROW_MARGIN`` on both
+sides of the SVD cutoff.  An iterate that fails takes the least-squares
+step, and the next accepted sample goes back to the SVD and picks new rows.
+
+``track_to`` steers greedily toward a target state and switches branches
+through special points when the straight tangent stalls; its failure is
+evidence (not proof) that the endpoints are not 0-connected.
 ``compose_forest`` glues single-loop motions over shared crease angles when
-the sharing structure of the loops is a forest.
+the sharing structure of the loops is a forest.  Both correct with
+least-squares steps only, as ``gauss_newton_correct`` does: they start
+from arbitrary guesses.
 """
 
 from __future__ import annotations
@@ -23,6 +37,8 @@ from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
 DEFAULT_STEP = math.pi / 200
 CORRECTOR_TOL = 1e-11
 MAX_CORRECTOR_ITER = 25
+# factor by which a certified row factor keeps its rank from the SVD cutoff
+ROW_MARGIN = 100.0
 
 
 @dataclass
@@ -74,23 +90,87 @@ def gauss_newton_correct(system: ConstraintSystem, rho,
     return _correct(system, rho, tol, max_iter)[:3]
 
 
-def _correct(system, rho, tol=CORRECTOR_TOL, max_iter=MAX_CORRECTOR_ITER):
+def _correct(system, rho, tol=CORRECTOR_TOL, max_iter=MAX_CORRECTOR_ITER,
+             rows=None, rank_tol=RANK_REL_TOL):
     """:func:`gauss_newton_correct` that also returns the residual at its
-    rho (None after a step longer than 2 pi)."""
+    rho (None after a step longer than 2 pi) and whether every step came
+    from the row factor of ``rows`` (see :func:`_row_solve`).  Without
+    ``rows``, or at an iterate where the rows do not certify, the step is
+    the least-squares one."""
     rho = np.asarray(rho, dtype=float).copy()
+    certified = rows is not None
     for it in range(max_iter):
         res = residual(system, rho)
         if res.max_norm <= tol:
-            return rho, it, True, res
+            return rho, it, True, res, certified
         J = jacobian(system, rho)
-        step, *_ = np.linalg.lstsq(J, -res.vector, rcond=1e-12)
+        step = None if rows is None else _row_solve(J, rows, rank_tol,
+                                                    -res.vector[rows])
+        if step is None:
+            certified = False
+            step, *_ = np.linalg.lstsq(J, -res.vector, rcond=1e-12)
         if not np.all(np.isfinite(step)):
-            return rho, it, False, res
+            return rho, it, False, res, certified
         rho = rho + step
         if np.abs(step).max() > 2.0 * math.pi:
-            return rho, it + 1, False, None
+            return rho, it + 1, False, None, certified
     res = residual(system, rho)
-    return rho, max_iter, res.max_norm <= tol, res
+    return rho, max_iter, res.max_norm <= tol, res, certified
+
+
+def _pick_rows(J, rank):
+    """``rank`` rows of J by greedy pivoted Gram-Schmidt, in index order.
+
+    Each pick is the row farthest from the span of the rows picked before
+    it (numpy has no pivoted QR).
+    """
+    m, n = J.shape
+    basis = np.zeros((rank, n))
+    coef = np.zeros((m, rank))              # J @ basis.T, column by column
+    left = np.einsum("ij,ij->i", J, J)      # squared distances to the span
+    picked = np.empty(rank, dtype=np.intp)
+    for k in range(rank):
+        i = int(np.argmax(left))
+        v = J[i] - coef[i, :k] @ basis[:k]
+        v -= (basis[:k] @ v) @ basis[:k]    # second pass keeps the basis orthonormal
+        basis[k] = v / (np.linalg.norm(v) or 1.0)
+        coef[:, k] = J @ basis[k]
+        left -= coef[:, k] ** 2
+        left[i] = -np.inf
+        picked[k] = i
+    return np.sort(picked)
+
+
+def _row_solve(J, rows, rank_tol, v):
+    """``J_r^T G^-1 v`` for ``J_r = J[rows]`` and ``G = J_r J_r^T``, or None
+    when the rows do not certify that J has rank ``len(rows)``.
+
+    With ``hi`` the Frobenius norm of J and ``lo`` its largest row norm, so
+    that ``lo <= |J|_2 <= hi``, and M = ``ROW_MARGIN``, the certificate is
+      - no drop: G - (M rank_tol hi)^2 I has a Cholesky factor, so
+        sigma_r(J) >= sigma_min(J_r) > M rank_tol |J|_2;
+      - no rise: the excluded rows lie within ``rank_tol lo / M`` (Frobenius)
+        of the row space of J_r, so sigma_(r+1)(J) <= rank_tol |J|_2 / M.
+    Then ``_rank_split`` finds rank r, with the margin M on both sides of its
+    cutoff.  numpy has no triangular solve, so G^-1 is applied by
+    ``np.linalg.solve``.
+    """
+    row_sq = np.einsum("ij,ij->i", J, J)
+    hi = math.sqrt(row_sq.sum())
+    lo = math.sqrt(row_sq.max(initial=0.0))
+    J_r = J[rows]
+    G = J_r @ J_r.T
+    try:
+        np.linalg.cholesky(G - (ROW_MARGIN * rank_tol * hi) ** 2 * np.eye(len(G)))
+    except np.linalg.LinAlgError:
+        return None
+    if len(rows) == len(J):
+        return J_r.T @ np.linalg.solve(G, v)
+    J_x = np.delete(J, rows, axis=0)
+    Y = np.linalg.solve(G, np.column_stack([J_r @ J_x.T, v]))
+    if np.linalg.norm(J_x - Y[:, :-1].T @ J_r) > rank_tol * lo / ROW_MARGIN:
+        return None
+    return J_r.T @ Y[:, -1]
 
 
 def _flex_basis(system, rho, rank_tol=RANK_REL_TOL):
@@ -132,14 +212,18 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
     corr_iters: list[int] = []
     tangent = direction
     max_rank_seen = _rank_split(J, rank_tol)[0]
+    rows = _pick_rows(J, max_rank_seen)
     termination = "steps"
 
     for _ in range(steps):
         h = step_size
         accepted = None
+        certified = True
         while h >= step_size / 64.0:
             pred = rho + h * tangent
-            cand, iters, ok, res = _correct(system, pred, corrector_tol)
+            cand, iters, ok, res, on_rows = _correct(system, pred, corrector_tol,
+                                                     rows=rows, rank_tol=rank_tol)
+            certified = certified and on_rows
             if (ok and res.max_norm <= residual_tol
                     and float(np.abs(cand - rho).max()) <= 3.0 * h):
                 # the continuity bound rejects correctors that jumped branches
@@ -162,7 +246,17 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
             termination = "angle-bound"
             break
 
-        rank_here, basis, _ = _rank_split(jacobian(system, cand), rank_tol)
+        J = jacobian(system, cand)
+        normal = (_row_solve(J, rows, rank_tol, J[rows] @ tangent) if certified
+                  else None)
+        if normal is None:
+            # a rank event, or an iterate the rows did not certify
+            rank_here, basis, _ = _rank_split(J, rank_tol)
+            rows = _pick_rows(J, rank_here)
+            new_tan = basis @ (basis.T @ tangent)
+        else:
+            rank_here = len(rows)
+            new_tan = tangent - normal
         if rank_here < max_rank_seen:
             samples.append(cand)
             residuals.append(cand_norm)
@@ -181,7 +275,6 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
         pred_lengths.append(h)
         corr_iters.append(iters)
 
-        new_tan = basis @ (basis.T @ tangent)
         nrm = np.linalg.norm(new_tan)
         if nrm < 1e-9:
             termination = "flex-lost"
@@ -235,7 +328,7 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
             u = proj / pnorm
             h = min(step_size, float(np.linalg.norm(diff)))
             while h >= step_size / 64.0:
-                cand, _, ok, res = _correct(system, rho + h * u, corrector_tol)
+                cand, _, ok, res, _ = _correct(system, rho + h * u, corrector_tol)
                 if (ok and res.max_norm <= residual_tol
                         and float(np.abs(cand).max()) <= math.pi + 1e-9):
                     rho = cand
@@ -280,7 +373,7 @@ def _hop_toward(system, rho, target, step_size, corrector_tol,
     u = diff / nrm
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
         h = min(step_size * scale, nrm)
-        cand, _, ok, res = _correct(system, rho + h * u, corrector_tol)
+        cand, _, ok, res, _ = _correct(system, rho + h * u, corrector_tol)
         if not ok or res.max_norm > residual_tol:
             continue
         if float(np.abs(cand).max()) > math.pi + 1e-9:
@@ -459,7 +552,7 @@ def compose_forest(system: ConstraintSystem, rho, per_loop_paths: dict[int, Fold
     polished = []
     residuals = []
     for row in kept:
-        cand, _, ok, r = _correct(system, row, corrector_tol)
+        cand, _, ok, r, _ = _correct(system, row, corrector_tol)
         if not ok or not r.satisfied(residual_tol):
             raise CorrectorDiverged("composed sample failed to polish")
         polished.append(cand)

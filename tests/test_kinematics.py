@@ -184,3 +184,61 @@ def test_frames_are_proper_rotations(rng):
             assert abs(np.linalg.det(R) - 1.0) < 1e-12
     base = panel_frames(pat, np.zeros(pat.n_vars))[pat.base_panel]
     assert np.abs(base.transform - np.eye(4)).max() == 0.0
+
+
+# -- chain groups cached with the spanning tree ---------------------------------
+
+def _counting_groups(monkeypatch):
+    from rigidori import kinematics
+    calls = []
+    original = kinematics._chain_groups
+
+    def counted(chains):
+        calls.append(len(chains))
+        return original(chains)
+
+    monkeypatch.setattr(kinematics, "_chain_groups", counted)
+    return calls
+
+
+def test_fold_mesh_reuses_the_tree_groups(monkeypatch):
+    pat = patterns.sheared_grid(4, 4, shear=0.3)
+    rho = np.zeros(pat.n_vars)
+    first = fold_mesh(pat, rho, chains=build_spanning_tree(pat))
+    calls = _counting_groups(monkeypatch)
+    for _ in range(3):
+        again = fold_mesh(pat, rho, chains=build_spanning_tree(pat))
+    fold_mesh(pat, rho)
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    # the groups go with the pattern: derived structure rebuilds them
+    pat._derive()
+    fold_mesh(pat, rho, chains=build_spanning_tree(pat))
+    assert calls == [len(pat.panels)]
+
+
+def test_fold_mesh_regroups_chains_that_are_not_the_tree(monkeypatch):
+    pat = patterns.cross_vertex()
+    tree = build_spanning_tree(pat)
+    assert tree[2] == chain_for_path(pat, [0, 1, 2])
+    fold_mesh(pat, np.zeros(4), chains=tree)        # fills the cache
+    calls = _counting_groups(monkeypatch)
+    # panel 2 reached the other way round the vertex; off the variety the
+    # two paths place it differently
+    other = dict(tree)
+    other[2] = chain_for_path(pat, [0, 3, 2])
+    # a tree chain edited in place after the cache was filled
+    edited = build_spanning_tree(pat)
+    edited[2].steps.reverse()
+    rho = np.array([0.7, 0.3, 0.1, 0.0])
+    for chains in (other, edited):
+        calls.clear()
+        mesh = fold_mesh(pat, rho, chains=chains)
+        assert calls == [len(pat.panels)]
+        for p, poly in enumerate(mesh):
+            T = placement(chains[p], rho, np.zeros(4))
+            flat = pat.vertices[pat.panels[p]]
+            want = flat @ T[:3, :2].T + T[:3, 3]
+            assert np.abs(poly - want).max() < 1e-12
+    assert np.abs(fold_mesh(pat, rho, chains=other)[2]
+                  - fold_mesh(pat, rho, chains=tree)[2]).max() > 1e-3

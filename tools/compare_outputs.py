@@ -1,4 +1,4 @@
-"""Compare the chain-product, contact and genericity outputs of two rigidori trees.
+"""Compare the chain-product, contact, genericity and tracking outputs of two rigidori trees.
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC [--tol 1e-12]
 
@@ -33,6 +33,17 @@ checker of this file (the trees are edge-disjoint spanning trees of the
 five-fold hinge graph; the partition has fewer than 6(parts - 1) cross
 edges) and only the verdict and that check are compared.  A different
 verdict or a failed check makes the exit code 1.
+
+Both runs also record ``track_flex`` paths: 100 steps from each of the six
+8x8 Miura starts of the benchmark's ``motion`` workload (seed 1), and the
+fixture tracks of ``tests/test_tracking_rows.py``: the cross vertex from
+flat along (0, 1, 0, 1), the cross vertex from (0.4, 0, 0.4, 0) with
+``rank_tol=0.1``, ``square_ring``, ``pentagon_ring``, ``hexagon_fan`` and
+``miura_3x3`` from their flat states, and a 6x6 Miura state.  The OLD run
+picks the starts and directions.  Samples must agree within 1e-9 (the
+tracker may take its steps from a different but equivalent linear solve);
+residuals within ``--tol``; the termination, the sample count, the
+predictor lengths and the corrector iterations must match exactly.
 """
 
 import argparse
@@ -47,6 +58,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SAMPLE_TOL = 1e-9
 
 
 def dump(out: str, states_from: str | None) -> None:
@@ -83,6 +95,7 @@ def dump(out: str, states_from: str | None) -> None:
                 data[f"{name}/{i}/fold_mesh/{p}"] = poly
     dump_contact(data, given)
     dump_generic(data)
+    dump_tracks(data, given)
     np.savez(out, **data)
 
 
@@ -150,6 +163,58 @@ def dump_generic(data: dict) -> None:
             verdict = {"generically_rigid": rep.generically_rigid,
                        "certificate": "valid" if valid else "INVALID"}
         data[f"generic/{name}/verdict"] = np.array(json.dumps(verdict, sort_keys=True))
+
+
+def dump_tracks(data: dict, given) -> None:
+    import rigidori as ro
+    from rigidori import patterns
+    from rigidori.errors import CorrectorDiverged
+    from workloads import SHEAR, WORKLOADS, Loaded, miura_state
+
+    def loaded(pat):
+        return Loaded(pat, ro.build_system(pat), ro.build_spanning_tree(pat))
+
+    def flat(name):
+        lo = loaded(getattr(patterns, name)())
+        rho = np.zeros(lo.pattern.n_vars)
+        return lo.system, rho, ro.classify(lo.system, rho).flex_basis[:, 0], {}
+
+    cross = loaded(patterns.cross_vertex()).system
+    cases = {"cross_flat": lambda: (cross, np.zeros(4), np.array([0.0, 1, 0, 1]), {}),
+             "cross_rank_tol": lambda: (cross, np.array([0.4, 0, 0.4, 0]),
+                                        np.array([-1.0, 0, -1, 0]), {"rank_tol": 0.1})}
+    for name in ("square_ring", "pentagon_ring", "hexagon_fan", "miura_3x3"):
+        cases[name] = lambda name=name: flat(name)
+    miura6 = loaded(patterns.sheared_grid(6, 6, shear=SHEAR))
+    cases["miura6"] = lambda: (miura6.system, *miura_state(miura6, 1.0), {})
+    # the motion workload's requests at seed 1
+    motion = WORKLOADS["motion"]
+    _, req_seq = np.random.SeedSequence(1).spawn(2)
+    with tempfile.TemporaryDirectory() as tmp:
+        ctx = motion.setup(motion.write_inputs(Path(tmp), None, False))
+    reqs = motion.requests(ctx, np.random.default_rng(req_seq), False)
+    for k, req in enumerate(reqs):
+        cases[f"motion{k}"] = lambda req=req: (ctx.loaded[0].system, *req.args, {})
+
+    for name, make in cases.items():
+        system, rho, direction, kwargs = make()
+        if given is not None:
+            rho = given[f"track/{name}/start"]
+            direction = given[f"track/{name}/direction"]
+        try:
+            path = ro.track_flex(system, rho, direction, steps=100, **kwargs)
+            error = None
+        except CorrectorDiverged as exc:
+            path, error = exc.path, type(exc).__name__
+        data[f"track/{name}/start"] = rho
+        data[f"track/{name}/direction"] = direction
+        data[f"track/{name}/samples"] = path.samples
+        data[f"track/{name}/residuals"] = np.array(path.residuals)
+        data[f"track/{name}/path"] = np.array(json.dumps({
+            "termination": path.termination, "error": error,
+            "samples": len(path.samples),
+            "predictor_lengths": [float(h) for h in path.predictor_lengths],
+            "corrector_iterations": [int(i) for i in path.corrector_iterations]}))
 
 
 def report_text(report) -> np.ndarray:
@@ -269,8 +334,9 @@ def main() -> int:
         print(f"{what:40s} {diff:.3e}")
     for what, (equal, total) in sorted(reports.items()):
         print(f"{what:40s} {equal}/{total} reports equal")
-    return 0 if (max(worst.values()) <= args.tol
-                 and all(e == t for e, t in reports.values())) else 1
+    within = all(diff <= (SAMPLE_TOL if what == "track samples" else args.tol)
+                 for what, diff in worst.items())
+    return 0 if within and all(e == t for e, t in reports.values()) else 1
 
 
 if __name__ == "__main__":
