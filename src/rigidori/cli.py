@@ -213,12 +213,13 @@ def cmd_export_obj(args) -> int:
 def cmd_generic(args) -> int:
     cfg = resolve_config(args)
     pattern = load_pattern(args.file, degrees=cfg.degrees)
+    dual = genericity.dual_graph(pattern)
     report = genericity.is_generically_rigid(pattern,
                                              sample_realizations=args.samples)
     payload = {
         "generically_rigid": report.generically_rigid,
-        "dual_faces": report.dual.n_faces,
-        "dual_edges": len(report.dual.dual_edges),
+        "dual_faces": dual.n_faces,
+        "dual_edges": len(dual.dual_edges),
         "counting_lower_bound": report.counting_lower_bound,
         "trees": report.packing.trees if report.packing.feasible else None,
         "partition": report.packing.partition,
@@ -228,7 +229,7 @@ def cmd_generic(args) -> int:
         payload["sampling_disagreement"] = report.disagreement
     _emit(payload, args.json_out)
     if args.dot:
-        Path(args.dot).write_text(genericity.to_dot(report.dual), encoding="utf-8")
+        Path(args.dot).write_text(genericity.to_dot(dual), encoding="utf-8")
     return EXIT_OK
 
 

@@ -354,7 +354,6 @@ def verify_packing(packing: TreePacking, n_vertices: int, edges) -> bool:
 class GenericRigidityReport:
     generically_rigid: bool
     packing: TreePacking
-    dual: PatternGraph
     body_edges: list[tuple[int, int]]
     counting_lower_bound: bool       # enough multigraph edges for 6 trees
     samples: list[dict] = field(default_factory=list)
@@ -392,7 +391,6 @@ def is_generically_rigid(pattern: CreasePattern, sample_realizations: int = 0,
     verdict.  Mere DOF counting can mislead, so both the count and the
     packing result are surfaced.
     """
-    dual = dual_graph(pattern)
     body_edges = panel_hinge_multigraph(pattern)
     edges5 = multigraph(body_edges, 5)
     packing = pack_spanning_trees(len(pattern.panels), edges5, k=6)
@@ -400,7 +398,6 @@ def is_generically_rigid(pattern: CreasePattern, sample_realizations: int = 0,
     report = GenericRigidityReport(
         generically_rigid=packing.feasible,
         packing=packing,
-        dual=dual,
         body_edges=body_edges,
         counting_lower_bound=counting,
     )

@@ -1,4 +1,4 @@
-"""Compare the chain-product, contact, genericity and tracking outputs of two rigidori trees.
+"""Compare the kernel, contact, genericity, tracking and validation outputs of two rigidori trees.
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC [--tol 1e-12]
 
@@ -44,6 +44,14 @@ picks the starts and directions.  Samples must agree within 1e-9 (the
 tracker may take its steps from a different but equivalent linear solve);
 residuals within ``--tol``; the termination, the sample count, the
 predictor lengths and the corrector iterations must match exactly.
+
+Both runs also record ``validate_pattern`` on perturbed copies of the
+fixtures: 150 per fixture for each of three perturbations, which move one
+vertex, snap one vertex onto a crease or snap one vertex onto another
+vertex.  The OLD run draws the vertices.  The outcome (the panels, or the
+error type and message) must be equal; the one exception is an old
+outcome that is not a ``PatternError`` (a crash), where the new tree must
+raise a ``PatternError``.  The number of such crashes is printed.
 """
 
 import argparse
@@ -59,6 +67,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_TOL = 1e-9
+VALIDATE_DRAWS = 150
 
 
 def dump(out: str, states_from: str | None) -> None:
@@ -96,6 +105,7 @@ def dump(out: str, states_from: str | None) -> None:
     dump_contact(data, given)
     dump_generic(data)
     dump_tracks(data, given)
+    dump_validate(data, given)
     np.savez(out, **data)
 
 
@@ -217,6 +227,55 @@ def dump_tracks(data: dict, given) -> None:
             "corrector_iterations": [int(i) for i in path.corrector_iterations]}))
 
 
+def perturbed(pat, kind: str, rng) -> np.ndarray:
+    """The vertex array with one vertex moved (by 1e-10 to 0.5 of the median
+    crease length), snapped onto a crease (half of them then moved by up to
+    1e-9) or snapped onto another vertex."""
+    V = pat.vertices.copy()
+    v = int(rng.integers(len(V)))
+    if kind == "move":
+        size = np.median([np.linalg.norm(V[c.u] - V[c.v]) for c in pat.creases])
+        V[v] += rng.normal(size=2) * size * 10.0 ** rng.choice([-10, -6, -1, -0.3])
+    elif kind == "snap_crease":
+        c = pat.creases[int(rng.integers(len(pat.creases)))]
+        V[v] = V[c.u] + rng.uniform(0, 1) * (V[c.v] - V[c.u])
+        if rng.random() < 0.5:
+            V[v] += rng.uniform(-1e-9, 1e-9, 2)
+    else:
+        V[v] = V[int(rng.integers(len(V)))]
+    return V
+
+
+def dump_validate(data: dict, given) -> None:
+    from rigidori import CreasePattern, validate_pattern
+    from rigidori.errors import PatternError
+
+    rng = np.random.default_rng(13)
+    for name, pat in fixtures().items():
+        for kind in ("move", "snap_crease", "snap_vertex"):
+            for k in range(VALIDATE_DRAWS):
+                key = f"validate/{name}-{k}/{kind}"
+                verts = (perturbed(pat, kind, rng) if given is None
+                         else given[f"{key}/vertices"])
+                try:
+                    out = validate_pattern(CreasePattern(
+                        verts, pat.creases, pat.panels, pat.holes, pat.base_panel,
+                        pat.alpha_override, pat.rho0))
+                    result = {"panels": out.panels}
+                except PatternError as exc:
+                    result = {"error": type(exc).__name__, "message": str(exc)}
+                except Exception as exc:  # the outcome under test, whatever it is
+                    result = {"crash": type(exc).__name__}
+                data[f"{key}/vertices"] = verts
+                data[key] = np.array(json.dumps(result, sort_keys=True))
+
+
+def validate_same(old: str, new: str) -> bool:
+    """Equal outcomes, or a crash of the old tree that the new one reports
+    as a ``PatternError``."""
+    return old == new or ("crash" in json.loads(old) and "error" in json.loads(new))
+
+
 def report_text(report) -> np.ndarray:
     return np.array(json.dumps({
         "verdict": report.verdict,
@@ -317,11 +376,16 @@ def main() -> int:
             return 1
         worst: dict[str, float] = {}
         reports: dict[str, list[int]] = {}   # output -> [equal, total]
+        crashes = 0
         for key in a.files:
             name, *rest = key.split("/")
             what = f"{name} {rest[1] if len(rest) > 1 else rest[0]}"
             if a[key].dtype.kind == "U":
-                same = bool(a[key] == b[key]) and "INVALID" not in str(b[key])
+                if name == "validate":
+                    same = validate_same(str(a[key]), str(b[key]))
+                    crashes += same and "crash" in str(a[key])
+                else:
+                    same = bool(a[key] == b[key]) and "INVALID" not in str(b[key])
                 tally = reports.setdefault(what, [0, 0])
                 tally[0] += same
                 tally[1] += 1
@@ -334,6 +398,7 @@ def main() -> int:
         print(f"{what:40s} {diff:.3e}")
     for what, (equal, total) in sorted(reports.items()):
         print(f"{what:40s} {equal}/{total} reports equal")
+    print(f"validate: {crashes} old crashes now raise a PatternError")
     within = all(diff <= (SAMPLE_TOL if what == "track samples" else args.tol)
                  for what, diff in worst.items())
     return 0 if within and all(e == t for e, t in reports.values()) else 1
