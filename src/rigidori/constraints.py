@@ -122,9 +122,6 @@ class Loop:
     def transform(self, rho: np.ndarray) -> np.ndarray:
         return chain_products([self.betas], [self.offsets], [self.vars], rho)[..., 0, :, :]
 
-    def extract(self, T: np.ndarray) -> np.ndarray:
-        return loop_scalars(T, self.kind)
-
     def max_deviation(self, T: np.ndarray) -> float:
         return float(loop_deviation(T, self.kind))
 

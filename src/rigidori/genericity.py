@@ -4,9 +4,10 @@ The pattern graph H (all vertices and creases) determines whether almost
 all realizations are first-order rigid: H is generically rigid exactly when
 the five-fold panel-hinge graph packs six edge-disjoint spanning trees.  That
 graph is the planar dual H* restricted to panels: the outer face is left out
-(see :func:`panel_hinge_multigraph`).  One (6, 6) pebble game decides the
-packing.  A rigid verdict ships the six trees, a flexible one the maximal
-rigid regions: a vertex partition violating the Nash-Williams/Tutte count.
+(see :func:`panel_hinge_multigraph`).  One (6, 6) pebble game with coloured
+pebbles decides the packing and keeps each colour a forest.  A rigid verdict
+ships the six colours as the trees, a flexible one the maximal rigid
+regions: a vertex partition violating the Nash-Williams/Tutte count.
 """
 
 from __future__ import annotations
@@ -137,71 +138,6 @@ class TreePacking:
         return cross, self.k * (len(self.partition) - 1)
 
 
-class _ForestSet:
-    """k edge-disjoint forests over n vertices with path queries."""
-
-    def __init__(self, n: int, k: int, edges):
-        self.edges = edges
-        self.adj = [[[] for _ in range(n)] for _ in range(k)]  # (nbr, edge id)
-        self.holder: dict[int, int] = {}
-
-    def path(self, i: int, a: int, b: int):
-        """Edge ids of the a-b path in forest i (a != b), or None if apart."""
-        prev = {a: None}
-        q = deque([a])
-        while q:
-            x = q.popleft()
-            for (y, eid) in self.adj[i][x]:
-                if y in prev:
-                    continue
-                prev[y] = (x, eid)
-                if y == b:
-                    path = []
-                    while prev[y] is not None:
-                        y, eid = prev[y]
-                        path.append(eid)
-                    return path
-                q.append(y)
-        return None
-
-    def add(self, i: int, eid: int):
-        u, v = self.edges[eid]
-        self.adj[i][u].append((v, eid))
-        self.adj[i][v].append((u, eid))
-        self.holder[eid] = i
-
-    def remove(self, eid: int):
-        i = self.holder.pop(eid)
-        u, v = self.edges[eid]
-        self.adj[i][u] = [(y, e) for (y, e) in self.adj[i][u] if e != eid]
-        self.adj[i][v] = [(y, e) for (y, e) in self.adj[i][v] if e != eid]
-
-
-def _try_place(fs: _ForestSet, e0: int) -> bool:
-    """Matroid-union augmenting search placing edge e0 in some forest."""
-    label: dict[int, tuple[int, int] | None] = {e0: None}
-    q = deque([e0])
-    while q:
-        f = q.popleft()
-        for i in range(len(fs.adj)):
-            cycle = fs.path(i, *fs.edges[f])
-            if cycle is None:
-                # unwind the label chain, moving each edge one forest over
-                step = (f, i)
-                while step is not None:
-                    g, ins = step
-                    if g in fs.holder:
-                        fs.remove(g)
-                    fs.add(ins, g)
-                    step = label[g]
-                return True
-            for g in cycle:
-                if g not in label:
-                    label[g] = (f, i)
-                    q.append(g)
-    return False
-
-
 def _is_connected(n: int, edges) -> bool:
     if n <= 1:
         return True
@@ -221,18 +157,23 @@ def _is_connected(n: int, edges) -> bool:
 
 
 class _PebbleGame:
-    """(k, k) pebble game (Lee and Streinu) with tight components.
+    """(k, k) pebble game (Lee and Streinu, 2008) with coloured pebbles
+    (Streinu and Theran, 2009) and tight components.
 
-    Each vertex owns k pebbles; an accepted edge takes one from an end and
-    points away from it (``out[x]`` lists the heads, at most k), so at most
-    k|X| - k accepted edges lie in any vertex set X.  Union-find classes are
-    tight (exactly k|X| - k); tight sets that meet have a tight union.
+    Each vertex owns one pebble of each of k colours.  An accepted edge takes
+    a pebble of one end and points away from it: ``out[x][c]`` is the head of
+    the edge x's colour-c pebble covers (None while it is free), ``eid[x][c]``
+    its id.  So at most k|X| - k accepted edges lie in any vertex set X, and
+    the edges of colour c form an in-forest rooted at the vertices with
+    pebble c free.  Union-find classes are tight (exactly k|X| - k); tight
+    sets that meet have a tight union.
     """
 
     def __init__(self, n: int, k: int):
         self.k = k
         self.peb = [k] * n
-        self.out: list[list[int]] = [[] for _ in range(n)]
+        self.out: list[list[int | None]] = [[None] * k for _ in range(n)]
+        self.eid: list[list[int | None]] = [[None] * k for _ in range(n)]
         self.root = list(range(n))
 
     def find(self, x: int) -> int:
@@ -242,27 +183,72 @@ class _PebbleGame:
             x = root[x]
         return x
 
+    def _reroot(self, x: int, c: int):
+        """Reverse x's colour-c path, so that its root's pebble c moves to x."""
+        out, eid = self.out, self.eid
+        y, e = out[x][c], eid[x][c]
+        out[x][c] = None
+        self.peb[x] += 1
+        while y is not None:
+            nxt, e_nxt = out[y][c], eid[y][c]
+            out[y][c], eid[y][c] = x, e
+            x, y, e = y, nxt, e_nxt
+        self.peb[x] -= 1
+
     def _pull(self, a: int, b: int):
-        """Free a pebble on a by reversing a path avoiding b; on failure return
-        the vertices searched, closed under out-edges, free pebbles on a, b only."""
-        out, prev, stack = self.out, {a: None, b: None}, [a]
+        """Free one more pebble on a; on failure return the vertices searched,
+        closed under out-edges, free pebbles on a, b only.
+
+        First a colour tree of a rooted elsewhere than b is re-rooted at a.
+        Else a free pebble found by a search avoiding b walks back along its
+        path, edge x -> y by edge: y's pebble of the edge's colour, or else
+        any, covers the edge reversed, unless x lies in y's tree of that
+        colour; then that tree is re-rooted at the path vertex nearest a on
+        x's path, which leaves the path before it untouched.
+        """
+        out, eid, peb = self.out, self.eid, self.peb
+        for c, y in enumerate(out[a]):
+            if y is None:
+                continue
+            while out[y][c] is not None:
+                y = out[y][c]
+            if y != b:
+                self._reroot(a, c)
+                return None
+        prev, stack = {a: None, b: None}, [a]
         while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if y in prev:
-                    continue
-                prev[y] = x
-                if self.peb[y]:
-                    self.peb[y] -= 1
-                    self.peb[a] += 1
-                    while y != a:
-                        x = prev[y]
-                        out[x].remove(y)
-                        out[y].append(x)
-                        y = x
-                    return None
-                stack.append(y)
-        return prev
+            y = stack.pop()
+            if y != a and peb[y]:
+                break
+            for c, z in enumerate(out[y]):
+                if z is not None and z not in prev:
+                    prev[z] = (y, c)
+                    stack.append(z)
+        else:
+            return prev
+        path, colours = [y], []   # edge path[i + 1] -> path[i] has colour colours[i]
+        while y != a:
+            y, c = prev[y]
+            path.append(y)
+            colours.append(c)
+        pos = {x: i for i, x in enumerate(path)}
+        i = 0
+        while i < len(colours):
+            x, y, c_edge = path[i + 1], path[i], colours[i]
+            c = c_edge if out[y][c_edge] is None else out[y].index(None)
+            j, z = i + 1, x
+            while out[z][c] is not None:
+                z = out[z][c]
+                j = max(j, pos.get(z, j))
+            if z == y:   # x lies in y's colour-c tree
+                self._reroot(path[j], c)
+                i = j
+            else:        # recolour: the edge becomes y -> x in colour c
+                out[y][c], eid[y][c] = x, eid[x][c_edge]
+                out[x][c_edge] = None
+                peb[x] += 1
+                peb[y] -= 1
+                i += 1
 
     def dependent(self, u: int, v: int) -> bool:
         """Whether one more edge uv would break sparsity; records its tight set.
@@ -286,13 +272,27 @@ class _PebbleGame:
             self.root[self.find(x)] = self.find(u)
         return True
 
+    def add(self, u: int, v: int, e: int) -> bool:
+        """Accept edge e = uv unless it is dependent.  It is covered from u if
+        u holds a pebble, else from v, in a colour free at both ends (k + 1
+        pebbles on two vertices share one), so it joins two trees."""
+        if self.dependent(u, v):
+            return False
+        a, b = (u, v) if self.peb[u] else (v, u)
+        out, c = self.out, 0
+        while out[a][c] is not None or out[b][c] is not None:
+            c += 1
+        out[a][c], self.eid[a][c] = b, e
+        self.peb[a] -= 1
+        return True
+
 
 def pack_spanning_trees(n_vertices: int, edges, k: int = 6) -> TreePacking:
     """k edge-disjoint spanning trees of a multigraph, or a counting certificate.
 
-    One pebble game pass keeps a maximal (k, k)-sparse subset; the trees exist
-    exactly when it has k(n - 1) edges, split into k forests by matroid-union
-    augmentation.  Otherwise accepted edges across classes are offered again,
+    One coloured pebble game pass keeps a maximal (k, k)-sparse subset; the
+    trees exist exactly when it has k(n - 1) edges, and then its k colours are
+    the trees.  Otherwise accepted edges across classes are offered again,
     so the classes grow to the maximal tight sets; rejected edges lie inside
     them, so fewer than k(parts - 1) edges cross.  Edge ids index ``edges``.
     """
@@ -306,18 +306,14 @@ def pack_spanning_trees(n_vertices: int, edges, k: int = 6) -> TreePacking:
     for eid, (u, v) in enumerate(edges):
         if len(accepted) == target:
             break  # the whole vertex set is tight: every later edge is dependent
-        if not game.dependent(u, v):
-            a, b = (u, v) if game.peb[u] else (v, u)
-            game.peb[a] -= 1
-            game.out[a].append(b)
+        if game.add(u, v, eid):
             accepted.append(eid)
 
     if len(accepted) == target:
-        fs = _ForestSet(n_vertices, k, edges)
-        for eid in accepted:
-            if not _try_place(fs, eid):
-                raise AssertionError("sparse edge set does not split into k forests")
-        trees = [sorted(e for e, i in fs.holder.items() if i == t) for t in range(k)]
+        trees = [sorted(game.eid[x][c] for x in range(n_vertices)
+                        if game.out[x][c] is not None) for c in range(k)]
+        if any(len(tree) != n_vertices - 1 for tree in trees):
+            raise AssertionError("a colour of the pebble game is not a spanning tree")
         return TreePacking(True, k, n_vertices, trees=trees)
 
     for eid in accepted:
@@ -333,12 +329,13 @@ def pack_spanning_trees(n_vertices: int, edges, k: int = 6) -> TreePacking:
 
 
 def verify_packing(packing: TreePacking, n_vertices: int, edges) -> bool:
-    """Independent check that returned trees are edge-disjoint spanning trees."""
-    if not packing.feasible:
+    """Independent check that the returned trees are ``packing.k``
+    edge-disjoint spanning trees whose ids index ``edges``."""
+    if not packing.feasible or len(packing.trees) != packing.k:
         return False
     seen: set[int] = set()
     for tree in packing.trees:
-        if len(tree) != n_vertices - 1:
+        if len(tree) != n_vertices - 1 or not all(0 <= e < len(edges) for e in tree):
             return False
         if seen & set(tree):
             return False

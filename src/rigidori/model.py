@@ -172,7 +172,6 @@ class CreasePattern:
         for ci in self.outer_creases:
             boundary.add(self.creases[ci].u)
             boundary.add(self.creases[ci].v)
-        self.boundary_vertices = boundary
         self.inner_vertices = sorted(
             v for v in range(self.n_vertices)
             if v not in boundary and self.vertex_creases[v]

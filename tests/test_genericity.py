@@ -5,7 +5,8 @@ import pytest
 
 import rigidori.analysis
 from rigidori.errors import Disconnected
-from rigidori.genericity import (dual_graph, is_generically_rigid, multigraph,
+from rigidori.genericity import (TreePacking, _PebbleGame, dual_graph,
+                                 is_generically_rigid, multigraph,
                                  pack_spanning_trees, panel_hinge_multigraph,
                                  to_dot, verify_packing)
 from rigidori.model import Crease, CreasePattern, validate_pattern
@@ -136,6 +137,94 @@ def test_packing_matches_nash_williams_tutte_oracle(rng):
                         assert len({block[v] for v in subset}) == 1, (
                             n, edges, k, got.partition, subset)
     assert infeasible > 100
+
+
+def _random_multigraph(rng):
+    """A connected multigraph on at most 40 vertices, with loops and parallel
+    copies, and a tree count k in 1..6 that it may or may not pack."""
+    n, k = int(rng.integers(1, 41)), int(rng.integers(1, 7))
+    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    for _ in range(int(rng.integers(0, 2 * k * n + 2))):
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        edges += [(u, v)] * int(rng.integers(1, k + 1))
+    rng.shuffle(edges)
+    return n, edges, k
+
+
+def _assert_colours_are_forests(game, n, k, edges, accepted):
+    """Each colour an in-forest rooted at the free pebbles of that colour,
+    the colours together holding every accepted edge once."""
+    held = []
+    for x in range(n):
+        assert game.peb[x] == game.out[x].count(None)
+        for c, y in enumerate(game.out[x]):
+            if y is not None:
+                assert sorted(edges[game.eid[x][c]]) == sorted((x, y))
+                held.append(game.eid[x][c])
+    assert sorted(held) == accepted
+    for c in range(k):
+        state = [0] * n   # 1: on the current walk, 2: known to reach a root
+        for x in range(n):
+            walk = []
+            while state[x] == 0 and game.out[x][c] is not None:
+                state[x] = 1
+                walk.append(x)
+                x = game.out[x][c]
+            assert state[x] != 1, f"colour {c} has a cycle"
+            for z in walk:
+                state[z] = 2
+
+
+# A walk-back that must re-root a colour tree at a path vertex nearer the
+# pulling vertex than x: re-rooting at x would reverse an earlier path edge.
+_REROOT_BEFORE_X = (17, [
+    (9, 2), (14, 16), (13, 2), (6, 15), (9, 2), (13, 5), (16, 13), (12, 13),
+    (16, 6), (0, 14), (10, 13), (10, 13), (9, 6), (9, 2), (14, 0), (15, 5),
+    (13, 11), (7, 14), (2, 3), (0, 8), (10, 15), (16, 4), (7, 4), (5, 11),
+    (8, 4), (8, 1), (14, 0), (2, 3), (12, 13), (1, 2), (10, 15), (14, 0),
+    (10, 13), (16, 6), (1, 4), (2, 13), (11, 2), (5, 10), (13, 1), (16, 6),
+    (9, 3), (0, 1), (10, 8), (12, 13), (8, 4), (3, 15), (9, 2), (10, 13),
+    (13, 1), (0, 14), (14, 7), (7, 8), (7, 1), (9, 3), (2, 13), (13, 1),
+    (13, 2), (1, 3), (15, 0), (14, 13), (5, 0), (7, 14)], 5)
+
+
+def test_coloured_pebble_game_keeps_each_colour_a_forest(rng):
+    """Beyond the reach of the oracles: after every accepted edge the colours
+    are forests; a feasible verdict's trees pass the checker, and each part of
+    an infeasible one packs k trees on its induced edges."""
+    verdicts = set()
+    cases = [_REROOT_BEFORE_X] + [_random_multigraph(rng) for _ in range(120)]
+    for n, edges, k in cases:
+        game, accepted = _PebbleGame(n, k), []
+        for e, (u, v) in enumerate(edges):
+            if game.add(u, v, e):
+                accepted.append(e)
+                _assert_colours_are_forests(game, n, k, edges, accepted)
+        got = pack_spanning_trees(n, edges, k=k)
+        verdicts.add(got.feasible)
+        assert got.feasible == (len(accepted) == k * (n - 1)), (n, edges, k)
+        if got.feasible:
+            assert verify_packing(got, n, edges)
+            continue
+        cross, bound = got.violation(edges)
+        assert cross < bound
+        for part in got.partition:
+            index = {v: i for i, v in enumerate(part)}
+            inside = [(index[u], index[v]) for u, v in edges
+                      if u in index and v in index]
+            sub = pack_spanning_trees(len(part), inside, k=k)
+            assert sub.feasible and verify_packing(sub, len(part), inside), part
+    assert verdicts == {True, False}
+
+
+def test_verify_packing_rejects_malformed_trees():
+    edges = [(0, 1), (0, 1), (1, 2), (1, 2)]
+    good = TreePacking(True, 2, 3, trees=[[0, 2], [1, 3]])
+    assert verify_packing(good, 3, edges)
+    assert not verify_packing(TreePacking(True, 2, 3, trees=[]), 3, edges)
+    assert not verify_packing(TreePacking(True, 2, 3, trees=[[0, 2]]), 3, edges)
+    assert not verify_packing(TreePacking(True, 2, 3, trees=[[0, -1], [1, 2]]), 3, edges)
+    assert not verify_packing(TreePacking(True, 2, 3, trees=[[0, 2], [1, 4]]), 3, edges)
 
 
 def test_packing_invariant_under_relabelling(rng):

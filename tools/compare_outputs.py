@@ -34,6 +34,13 @@ five-fold hinge graph; the partition has fewer than 6(parts - 1) cross
 edges) and only the verdict and that check are compared.  A different
 verdict or a failed check makes the exit code 1.
 
+Both runs also record ``pack_spanning_trees`` on 2,000 seeded random
+connected multigraphs: up to 40 vertices, with loops and parallel edges,
+and k from 1 to 6 trees, so that both verdicts occur.  The verdict and the
+partition of an infeasible one (the maximal rigid regions, which are unique)
+must be equal; the trees may differ, so each run checks its own certificate
+with the checker of this file, and a failed check makes the exit code 1.
+
 Both runs also record ``track_flex`` paths: 100 steps from each of the six
 8x8 Miura starts of the benchmark's ``motion`` workload (seed 1), and the
 fixture tracks of ``tests/test_tracking_rows.py``: the cross vertex from
@@ -68,6 +75,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_TOL = 1e-9
 VALIDATE_DRAWS = 150
+PACKING_DRAWS = 2000
 
 
 def dump(out: str, states_from: str | None) -> None:
@@ -104,6 +112,7 @@ def dump(out: str, states_from: str | None) -> None:
                 data[f"{name}/{i}/fold_mesh/{p}"] = poly
     dump_contact(data, given)
     dump_generic(data)
+    dump_packing(data)
     dump_tracks(data, given)
     dump_validate(data, given)
     np.savez(out, **data)
@@ -130,7 +139,8 @@ def certificate_valid(packing, n: int, edges) -> bool:
     with fewer than k*(parts-1) cross edges."""
     if packing.feasible:
         used = [e for tree in packing.trees for e in tree]
-        if len(packing.trees) != packing.k or len(used) != len(set(used)):
+        if (len(packing.trees) != packing.k or len(used) != len(set(used))
+                or not all(0 <= e < len(edges) for e in used)):
             return False
         for tree in packing.trees:
             root = list(range(n))
@@ -173,6 +183,32 @@ def dump_generic(data: dict) -> None:
             verdict = {"generically_rigid": rep.generically_rigid,
                        "certificate": "valid" if valid else "INVALID"}
         data[f"generic/{name}/verdict"] = np.array(json.dumps(verdict, sort_keys=True))
+
+
+def random_multigraph(rng) -> tuple[int, list[tuple[int, int]], int]:
+    """A connected multigraph on at most 40 vertices, with loops and parallel
+    copies, and a tree count k in 1..6 that it may or may not pack."""
+    n, k = int(rng.integers(1, 41)), int(rng.integers(1, 7))
+    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    for _ in range(int(rng.integers(0, 2 * k * n + 2))):
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        edges += [(u, v)] * int(rng.integers(1, k + 1))
+    rng.shuffle(edges)
+    return n, edges, k
+
+
+def dump_packing(data: dict) -> None:
+    import rigidori as ro
+
+    rng = np.random.default_rng(17)
+    for i in range(PACKING_DRAWS):
+        n, edges, k = random_multigraph(rng)
+        packing = ro.pack_spanning_trees(n, edges, k=k)
+        verdict = {"feasible": packing.feasible,
+                   "partition": sorted(map(sorted, packing.partition or [])),
+                   "certificate": ("valid" if certificate_valid(packing, n, edges)
+                                   else "INVALID")}
+        data[f"packing/{i}/verdict"] = np.array(json.dumps(verdict, sort_keys=True))
 
 
 def dump_tracks(data: dict, given) -> None:
