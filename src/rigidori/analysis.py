@@ -10,7 +10,7 @@ import numpy as np
 from .constraints import (RESIDUAL_TOL, ConstraintSystem, build_system,
                           chain_products, loop_scalars, residual)
 from .errors import NotAFlex, NotDevelopable, NotOnVariety
-from .kinematics import TransferChain, _chain_groups, build_spanning_tree
+from .kinematics import TransferChain, build_spanning_tree
 from .model import TWO_PI, CreasePattern
 
 RANK_REL_TOL = 1e-8
@@ -110,6 +110,19 @@ def deg_formula_developable(pattern: CreasePattern) -> int:
 
 
 # -- angular velocities -----------------------------------------------------
+
+def _chain_groups(chains: list[TransferChain]):
+    """Stack the chains by length: (positions, betas, offsets, vars) per length."""
+    by_length: dict[int, list[int]] = {}
+    for i, chain in enumerate(chains):
+        by_length.setdefault(len(chain), []).append(i)
+    for n, idx in by_length.items():
+        steps = [st for i in idx for st in chains[i].steps]
+        yield (np.array(idx),
+               np.array([st.beta for st in steps]).reshape(len(idx), n),
+               np.array([(st.a, st.b) for st in steps]).reshape(len(idx), n, 2),
+               np.array([st.var for st in steps], dtype=np.intp).reshape(len(idx), n))
+
 
 def angular_velocities(pattern: CreasePattern, rho, rho_dot,
                        system: ConstraintSystem | None = None,

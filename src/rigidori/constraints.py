@@ -16,8 +16,11 @@ part also vanishes for half-turn rotations, the reported per-loop max-norm
 always includes the full matrix deviation from the identity, so spurious
 roots are never accepted as solved states.
 
-:func:`chain_products` is the one implementation of this product and its
-derivatives; the folded-state map and the single-vertex solvers use it too.
+:func:`hinge_factors` builds the one per-crease factor.
+:func:`chain_products` is the one implementation of its product along
+equal-length chains and of the derivatives; the single-vertex solvers and
+the angular velocities use it too.  The folded-state map multiplies the same
+factors down a prefix tree of its chains (``kinematics._transforms``).
 """
 
 from __future__ import annotations
@@ -32,25 +35,16 @@ from .model import TWO_PI, CreasePattern
 RESIDUAL_TOL = 1e-9
 
 
-def chain_products(betas, offsets, vars, rho, derivatives: bool = False):
-    """Products of hinge factors along a stack of equal-length chains.
+def hinge_factors(betas, offsets, ang) -> np.ndarray:
+    """Hinge factors ``[Rz(betas), offsets] . Rx(ang)``, shape ang.shape + (4, 4).
 
-    Chain c is the product over k of the 4x4 factors
-    ``F_ck = [Rz(betas[c, k]), offsets[c, k]] . Rx(rho[vars[c, k]])``, with
-    ``betas`` and ``vars`` of shape (C, n) and ``offsets`` (C, n, 2).  ``rho``
-    is one state (j,) or a batch (..., j).  Returns T, shape (..., C, 4, 4).
-    With ``derivatives`` returns (T, D, P): the prefix products P_k of the
-    first k factors, shape (..., C, n + 1, 4, 4), and the derivatives by the
-    k-th crossed angle D_k = P_k F_k S_x S_{k+1}, shape (..., C, n, 4, 4),
-    where S_x generates x-rotations and S_{k+1} is the suffix product.
+    ``betas`` broadcasts against ``ang``, ``offsets`` has a trailing axis of
+    (a, b).  This is the one place the 4x4 factor is built.
     """
-    betas = np.asarray(betas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    ang = np.asarray(rho, dtype=float)[..., np.asarray(vars, dtype=np.intp)]
-    n = betas.shape[-1]
     cb, sb = np.cos(betas), np.sin(betas)
     cr, sr = np.cos(ang), np.sin(ang)
-    F = np.zeros(ang.shape + (4, 4))
+    F = np.zeros(np.shape(ang) + (4, 4))
     F[..., 0, 0] = cb
     F[..., 0, 1] = -sb * cr
     F[..., 0, 2] = sb * sr
@@ -62,6 +56,25 @@ def chain_products(betas, offsets, vars, rho, derivatives: bool = False):
     F[..., 2, 1] = sr
     F[..., 2, 2] = cr
     F[..., 3, 3] = 1.0
+    return F
+
+
+def chain_products(betas, offsets, vars, rho, derivatives: bool = False):
+    """Products of hinge factors along a stack of equal-length chains.
+
+    Chain c is the product over k of the 4x4 factors
+    ``F_ck = hinge_factors(betas[c, k], offsets[c, k], rho[vars[c, k]])``, with
+    ``betas`` and ``vars`` of shape (C, n) and ``offsets`` (C, n, 2).  ``rho``
+    is one state (j,) or a batch (..., j).  Returns T, shape (..., C, 4, 4).
+    With ``derivatives`` returns (T, D, P): the prefix products P_k of the
+    first k factors, shape (..., C, n + 1, 4, 4), and the derivatives by the
+    k-th crossed angle D_k = P_k F_k S_x S_{k+1}, shape (..., C, n, 4, 4),
+    where S_x generates x-rotations and S_{k+1} is the suffix product.
+    """
+    betas = np.asarray(betas, dtype=float)
+    ang = np.asarray(rho, dtype=float)[..., np.asarray(vars, dtype=np.intp)]
+    n = betas.shape[-1]
+    F = hinge_factors(betas, offsets, ang)
     P = np.empty(F.shape[:-3] + (n + 1, 4, 4))
     P[..., 0, :, :] = np.eye(4)
     for k in range(n):

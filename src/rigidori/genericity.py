@@ -268,8 +268,9 @@ class _PebbleGame:
                     break
             else:
                 return False
+        ru = self.find(u)     # stays a root: only other roots are pointed at it
         for x in reached:
-            self.root[self.find(x)] = self.find(u)
+            self.root[self.find(x)] = ru
         return True
 
     def add(self, u: int, v: int, e: int) -> bool:

@@ -9,8 +9,12 @@ post-multiplied product of per-crossing factors
     [rotate beta_k about z, translate (a_k, b_k)] . [rotate rho_k about x]
 
 and a material point p of panel K placed at the reference state rho0 moves
-to  T_K(rho) T_K(rho0)^{-1} p.  All chains of one length are evaluated by
-one call of ``constraints.chain_products``.
+to  T_K(rho) T_K(rho0)^{-1} p.  The chains of a call are merged into one
+prefix tree, so a step that several chains share is one node.  All of its
+factors come from one call of ``constraints.hinge_factors``, and the tree
+is walked root to leaf, one batched product per depth (the forward
+kinematics of a kinematic tree); the spanning tree's prefix tree is cached
+on the pattern.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import chain_products
+from .constraints import hinge_factors
 from .errors import PatternError, PointOutsidePanel
 from .model import CreasePattern
 
@@ -77,51 +81,77 @@ def _rigid_inverse(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_groups(chains: list[TransferChain]):
-    """Stack the chains by length: (positions, betas, offsets, vars) per length."""
-    by_length: dict[int, list[int]] = {}
-    for i, chain in enumerate(chains):
-        by_length.setdefault(len(chain), []).append(i)
-    for n, idx in by_length.items():
-        steps = [st for i in idx for st in chains[i].steps]
-        yield (np.array(idx),
-               np.array([st.beta for st in steps]).reshape(len(idx), n),
-               np.array([(st.a, st.b) for st in steps]).reshape(len(idx), n, 2),
-               np.array([st.var for st in steps], dtype=np.intp).reshape(len(idx), n))
+def _prefix_tree(chains: list[TransferChain]):
+    """The chains merged on their shared prefixes, numbered level by level.
+
+    A node is a chain prefix, keyed on (parent node, last ChainStep), so
+    chains that start alike share nodes; the nodes of depth k + 1 are made
+    from the chains still longer than k, so the build is linear in steps.
+    Returns (betas, offsets, vars, levels, leaf): the hinge data of each
+    node's last step, one (node slice, parent nodes) pair per depth, and the
+    node of each chain.  The root, the empty prefix, is node -1: the slot
+    after the last node.
+    """
+    node: dict[tuple[int, ChainStep], int] = {}
+    steps, parents, levels = [], [], []
+    leaf = [-1] * len(chains)
+    active = [c for c, chain in enumerate(chains) if chain.steps]
+    k = 0
+    while active:
+        lo = len(steps)
+        for c in active:
+            key = (leaf[c], chains[c].steps[k])
+            if key not in node:
+                node[key] = len(steps)
+                steps.append(key[1])
+                parents.append(leaf[c])
+            leaf[c] = node[key]
+        levels.append((slice(lo, len(steps)), np.array(parents[lo:], dtype=np.intp)))
+        k += 1
+        active = [c for c in active if len(chains[c]) > k]
+    return (np.array([st.beta for st in steps]),
+            np.array([(st.a, st.b) for st in steps]).reshape(len(steps), 2),
+            np.array([st.var for st in steps], dtype=np.intp),
+            levels, np.array(leaf, dtype=np.intp))
 
 
-def _panel_groups(pattern: CreasePattern, ordered: list[TransferChain]) -> list:
-    """``_chain_groups`` of one chain per panel, in panel order.
+def _panel_tree(pattern: CreasePattern, ordered: list[TransferChain]):
+    """``_prefix_tree`` of one chain per panel, in panel order.
 
     Chains equal to the pattern's own spanning tree, as those of
-    ``build_spanning_tree(pattern)`` are, get the tree's groups, built on
-    first use and cached on the pattern; any other chains are grouped
+    ``build_spanning_tree(pattern)`` are, get the tree's prefix tree, built
+    on first use and cached on the pattern; any other chains are merged
     afresh.
     """
     _, tree = _tree(pattern)
     if ordered != tree:
-        return list(_chain_groups(ordered))
-    if pattern._tree_groups is None:
-        pattern._tree_groups = list(_chain_groups(tree))
-    return pattern._tree_groups
+        return _prefix_tree(ordered)
+    if pattern._tree_prefix is None:
+        pattern._tree_prefix = _prefix_tree(tree)
+    return pattern._tree_prefix
 
 
-def _transforms(chains: list[TransferChain], rho, groups=None) -> np.ndarray:
+def _transforms(chains: list[TransferChain], rho, tree=None) -> np.ndarray:
     """Chain transforms at a state (j,) or a batch (..., j): (..., len(chains), 4, 4).
 
-    ``groups`` are ``_chain_groups(chains)`` when the caller has them.
+    ``tree`` is ``_prefix_tree(chains)`` when the caller has it.  Every hinge
+    factor is built at once; each depth then takes one batched product
+    T[node] = T[parent] @ F[node], the one ``chain_products`` forms per step.
     """
     rho = np.asarray(rho, dtype=float)
-    out = np.empty(rho.shape[:-1] + (len(chains), 4, 4))
-    for idx, betas, offsets, vars_ in groups or _chain_groups(chains):
-        out[..., idx, :, :] = chain_products(betas, offsets, vars_, rho)
-    return out
+    betas, offsets, vars_, levels, leaf = _prefix_tree(chains) if tree is None else tree
+    F = hinge_factors(betas, offsets, rho[..., vars_])
+    T = np.empty(rho.shape[:-1] + (len(betas) + 1, 4, 4))
+    T[..., -1, :, :] = np.eye(4)       # the root
+    for nodes, parents in levels:
+        np.matmul(T[..., parents, :, :], F[..., nodes, :, :], out=T[..., nodes, :, :])
+    return T[..., leaf, :, :]
 
 
-def _placements(chains: list[TransferChain], rho, rho0, groups=None) -> np.ndarray:
+def _placements(chains: list[TransferChain], rho, rho0, tree=None) -> np.ndarray:
     """Rigid motions taking the rho0 placement of each chain's panel to the rho one."""
     T = _transforms(chains, np.stack([np.asarray(rho, dtype=float),
-                                      np.asarray(rho0, dtype=float)]), groups)
+                                      np.asarray(rho0, dtype=float)]), tree)
     return T[0] @ _rigid_inverse(T[1])
 
 
@@ -316,14 +346,14 @@ def fold_mesh(pattern: CreasePattern, rho, rho0=None,
         chains, _ = _tree(pattern)
     panels = range(len(pattern.panels))
     ordered = [chains[p] for p in panels]
-    groups = _panel_groups(pattern, ordered)
+    tree = _panel_tree(pattern, ordered)
     if pattern.is_cone:
-        T = _transforms(ordered, rho, groups)
+        T = _transforms(ordered, rho, tree)
         return [(T[p, :3, :3] @ _cone_local_polygon(pattern, p, cone_radius).T).T
                 + T[p, :3, 3] for p in panels]
     if rho0 is None:
         rho0 = pattern.initial_state().rho
-    T = _placements(ordered, rho, rho0, groups)
+    T = _placements(ordered, rho, rho0, tree)
     by_length: dict[int, list[int]] = {}
     for p in panels:
         by_length.setdefault(len(pattern.panels[p]), []).append(p)
@@ -341,7 +371,8 @@ def fold_mesh(pattern: CreasePattern, rho, rho0=None,
 def panel_frames(pattern: CreasePattern, rho,
                  chains: dict[int, TransferChain] | None = None) -> list[PanelFrame]:
     if chains is None:
-        chains = build_spanning_tree(pattern)
+        chains, _ = _tree(pattern)
     panels = sorted(chains)
-    T = _transforms([chains[p] for p in panels], rho)
+    ordered = [chains[p] for p in panels]
+    T = _transforms(ordered, rho, _panel_tree(pattern, ordered))
     return [PanelFrame(p, T[i]) for i, p in enumerate(panels)]

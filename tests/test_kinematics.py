@@ -191,13 +191,13 @@ def test_frames_are_proper_rotations(rng):
 def _counting_groups(monkeypatch):
     from rigidori import kinematics
     calls = []
-    original = kinematics._chain_groups
+    original = kinematics._prefix_tree
 
     def counted(chains):
         calls.append(len(chains))
         return original(chains)
 
-    monkeypatch.setattr(kinematics, "_chain_groups", counted)
+    monkeypatch.setattr(kinematics, "_prefix_tree", counted)
     return calls
 
 
@@ -242,3 +242,66 @@ def test_fold_mesh_regroups_chains_that_are_not_the_tree(monkeypatch):
             assert np.abs(poly - want).max() < 1e-12
     assert np.abs(fold_mesh(pat, rho, chains=other)[2]
                   - fold_mesh(pat, rho, chains=tree)[2]).max() > 1e-3
+
+
+# -- the prefix tree: one hinge factor per node, one product per level ----------
+
+def _random_chain_set(rng, n_vars=6):
+    """Chains over shared random steps: shared prefixes, duplicates, a chain
+    that is a prefix of another, empty chains and mixed lengths."""
+    def step():
+        return ChainStep(int(rng.integers(100)), int(rng.integers(n_vars)),
+                         float(rng.uniform(-math.pi, math.pi)),
+                         float(rng.normal()), float(rng.normal()))
+
+    trunk = [step() for _ in range(int(rng.integers(3, 7)))]
+    chains = [TransferChain(0, []), TransferChain(1, list(trunk))]
+    for i in range(2, 12):
+        cut = int(rng.integers(0, len(trunk) + 1))
+        chains.append(TransferChain(i, trunk[:cut] + [step() for _ in
+                                                      range(int(rng.integers(0, 4)))]))
+    chains.append(TransferChain(12, list(chains[5].steps)))       # a duplicate
+    chains.append(TransferChain(13, []))
+    rng.shuffle(chains)
+    return chains
+
+
+def test_transforms_match_per_chain_products_bit_for_bit(rng):
+    from rigidori.constraints import chain_products
+    from rigidori.kinematics import _prefix_tree, _transforms
+    for _ in range(20):
+        chains = _random_chain_set(rng)
+        lengths = {len(c) for c in chains}
+        assert 0 in lengths and len(lengths) > 2
+        tree = _prefix_tree(chains)
+        assert len(tree[0]) < sum(len(c) for c in chains)   # prefixes are shared
+        for rho in (rng.uniform(-math.pi, math.pi, 6),
+                    rng.uniform(-math.pi, math.pi, (3, 2, 6))):
+            want = np.stack([
+                chain_products([[st.beta for st in c.steps]],
+                               np.reshape([(st.a, st.b) for st in c.steps], (1, len(c), 2)),
+                               np.reshape([st.var for st in c.steps], (1, len(c))).astype(int),
+                               rho)[..., 0, :, :]
+                for c in chains], axis=-3)
+            assert np.array_equal(_transforms(chains, rho), want)
+            assert np.array_equal(_transforms(chains, rho, tree), want)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_spanning_prefix_tree_has_a_node_per_tree_edge(monkeypatch, n):
+    pat = patterns.sheared_grid(n, n, shear=0.3)
+    rho = np.zeros(pat.n_vars)
+    fold_mesh(pat, rho)
+    betas, offsets, vars_, levels, leaf = pat._tree_prefix
+    assert len(betas) == len(vars_) == len(offsets) == len(pat.panels) - 1
+    tree = build_spanning_tree(pat)
+    longest = max(len(c) for c in tree.values())
+    assert len(levels) == longest
+    assert [lv.start for lv, _ in levels] == sorted(lv.start for lv, _ in levels)
+    # panel_frames looks up the same cached tree
+    calls = _counting_groups(monkeypatch)
+    frames = panel_frames(pat, rho)
+    panel_frames(pat, rho, chains=tree)
+    assert calls == []
+    assert all(np.array_equal(f.transform, transfer_matrix(tree[f.panel], rho))
+               for f in frames)

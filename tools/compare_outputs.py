@@ -8,8 +8,14 @@ benchmark's ``miura_state`` finds it, and seeded random states of
 ``pentagon_ring``, ``square_ring`` and a degree-3 cone.  The NEW run reuses
 those states.  Both record the residual vector and max-norm, the Jacobian,
 the transfer matrix of every spanning-tree chain and every ``fold_mesh``
-polygon.  The largest difference of each output is printed; the exit code is
-1 when one exceeds ``--tol``.
+polygon.  They also record, at seeded random states that the OLD run
+draws, ``fold_mesh`` and ``panel_frames`` on ``sheared_grid(16, 16)`` and
+the cross vertex, ``fold_mesh`` of both with a random ``rho0`` in place of
+the flat default, and ``fold_mesh`` of the cross vertex with chains that
+are not its spanning tree (panel 2 reached through panel 3 instead of
+panel 1), so that placement off the cached tree is compared too.  The largest
+difference of each output is printed; the exit code is 1 when one exceeds
+``--tol``.
 
 Both runs also record ``check_state`` reports: on every request the
 benchmark's ``contact`` workload can make (each line fold of the 8x8 grid in
@@ -110,6 +116,7 @@ def dump(out: str, states_from: str | None) -> None:
                 [ro.transfer_matrix(chains[p], rho) for p in sorted(chains)])
             for p, poly in enumerate(ro.fold_mesh(pat, rho, chains=chains)):
                 data[f"{name}/{i}/fold_mesh/{p}"] = poly
+    dump_placement(data, given)
     dump_contact(data, given)
     dump_generic(data)
     dump_packing(data)
@@ -160,6 +167,33 @@ def certificate_valid(packing, n: int, edges) -> bool:
         return False
     cross = sum(block[u] != block[v] for u, v in edges)
     return cross < packing.k * (len(packing.partition) - 1)
+
+
+def dump_placement(data: dict, given) -> None:
+    import rigidori as ro
+    from rigidori import patterns
+    from workloads import SHEAR
+
+    cross = patterns.cross_vertex()
+    other = ro.build_spanning_tree(cross)
+    other[2] = ro.chain_for_path(cross, [0, 3, 2])
+    rng = np.random.default_rng(19)
+    for name, pat in (("place16", patterns.sheared_grid(16, 16, shear=SHEAR)),
+                      ("place_cross", cross)):
+        # each state is a pair (rho, rho0)
+        states = (given[f"{name}/states"] if given is not None
+                  else rng.uniform(-math.pi, math.pi, (2, 2, pat.n_vars)))
+        data[f"{name}/states"] = states
+        for i, (rho, rho0) in enumerate(states):
+            out = {"fold_mesh": ro.fold_mesh(pat, rho),
+                   "fold_mesh_rho0": ro.fold_mesh(pat, rho, rho0)}
+            if pat is cross:
+                out["fold_mesh_other_chains"] = ro.fold_mesh(pat, rho, rho0, chains=other)
+            for what, mesh in out.items():
+                for p, poly in enumerate(mesh):
+                    data[f"{name}/{i}/{what}/{p}"] = poly
+            data[f"{name}/{i}/panel_frames"] = np.array(
+                [f.transform for f in ro.panel_frames(pat, rho)])
 
 
 def dump_generic(data: dict) -> None:
