@@ -10,10 +10,12 @@ import numpy as np
 from .constraints import (RESIDUAL_TOL, ConstraintSystem, build_system,
                           chain_products, loop_scalars, residual)
 from .errors import NotAFlex, NotDevelopable, NotOnVariety
-from .kinematics import TransferChain, build_spanning_tree
+from .kinematics import TransferChain, _tree, _walk
 from .model import TWO_PI, CreasePattern
 
 RANK_REL_TOL = 1e-8
+# generator of rotations about x: d/d rho Rx(rho) = Rx(rho) S_x
+_S_X = np.array([[0.0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
 
 
 def jacobian(system: ConstraintSystem, rho) -> np.ndarray:
@@ -111,19 +113,6 @@ def deg_formula_developable(pattern: CreasePattern) -> int:
 
 # -- angular velocities -----------------------------------------------------
 
-def _chain_groups(chains: list[TransferChain]):
-    """Stack the chains by length: (positions, betas, offsets, vars) per length."""
-    by_length: dict[int, list[int]] = {}
-    for i, chain in enumerate(chains):
-        by_length.setdefault(len(chain), []).append(i)
-    for n, idx in by_length.items():
-        steps = [st for i in idx for st in chains[i].steps]
-        yield (np.array(idx),
-               np.array([st.beta for st in steps]).reshape(len(idx), n),
-               np.array([(st.a, st.b) for st in steps]).reshape(len(idx), n, 2),
-               np.array([st.var for st in steps], dtype=np.intp).reshape(len(idx), n))
-
-
 def angular_velocities(pattern: CreasePattern, rho, rho_dot,
                        system: ConstraintSystem | None = None,
                        chains: dict[int, TransferChain] | None = None,
@@ -131,11 +120,13 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
                        identity_tol: float = 1e-8) -> np.ndarray:
     """Per-panel angular velocity of the flex ``rho_dot``.
 
-    omega_K is read off skew(omega_K) = dT_K/dt . T_K^T.  It must satisfy
-    rho_dot_K c_K = omega_K - omega_{K-1} along every chain, with c_K the
-    folded direction of the crossed crease; the recursion built from that
-    identity is compared against the skew computation and a mismatch raises,
-    since it would mean the chain algebra is broken.
+    Down the spanning tree, omega jumps by rho_dot_k c_k at each crossing,
+    c_k the folded direction of the crossed crease (the x-axis of the frame
+    after it).  The same walk carries the time derivative of the transforms
+    forward, dT_child = dT_parent F + T_child S_x rho_dot_k with S_x the
+    generator of x-rotations, and skew(omega) = dR/dt . R^T read off it must
+    agree with the recursion; a mismatch raises, since it would mean the
+    chain algebra is broken.
     """
     rho = np.asarray(rho, dtype=float)
     rho_dot = np.asarray(rho_dot, dtype=float)
@@ -147,24 +138,23 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
         scale = max(1.0, float(np.abs(rho_dot).max()))
         if drive > flex_tol * scale:
             raise NotAFlex(f"J . rho_dot has max entry {drive:.3e}")
-    if chains is None:
-        chains = build_spanning_tree(pattern)
-
-    omegas = np.zeros((len(pattern.panels), 3))
+    panels = range(len(pattern.panels)) if chains is None else sorted(chains)
+    tree = _tree(pattern, chains, panels)
+    F, T = _walk(tree, rho)
+    rate = rho_dot[tree.vars]
+    omega = np.zeros((len(T), 3))
+    dT = np.zeros(T.shape)
+    for nodes in tree.levels:
+        up = tree.parent[nodes]
+        omega[nodes] = omega[up] + rate[nodes, None] * T[nodes, :3, 0]
+        dT[nodes] = dT[up] @ F[nodes] + rate[nodes, None, None] * (T[nodes] @ _S_X)
+    skew = loop_scalars(dT[:, :3, :3] @ T[:, :3, :3].swapaxes(-1, -2), "vertex")
+    err = float(np.abs(skew - omega).max())
     limit = identity_tol * max(1.0, float(np.abs(rho_dot).max()))
-    panels = np.array(list(chains), dtype=np.intp)
-    for idx, betas, offsets, vars_ in _chain_groups(list(chains.values())):
-        T, D, P = chain_products(betas, offsets, vars_, rho, derivatives=True)
-        rate = rho_dot[vars_]
-        dR = np.einsum("ck,ckij->cij", rate, D[..., :3, :3])
-        omega = loop_scalars(dR @ T[..., :3, :3].swapaxes(-1, -2), "vertex")
-        omegas[panels[idx]] = omega
-        # independent accumulation: omega jumps by rho_dot_k c_k per crossing,
-        # c_k the x-axis of the frame after the k-th crossing
-        omega_rec = np.einsum("ck,cki->ci", rate, P[:, 1:, :3, 0])
-        err = float(np.abs(omega_rec - omega).max())
-        if err > limit:
-            raise RuntimeError(f"angular-velocity identity violated: {err:.3e}")
+    if err > limit:
+        raise RuntimeError(f"angular-velocity identity violated: {err:.3e}")
+    omegas = np.zeros((len(pattern.panels), 3))
+    omegas[list(panels)] = omega[tree.leaf]
     return omegas
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, collision, constraints, genericity, singlevertex, tracking
 from .errors import (CorrectorDiverged, NoCase, NotAFlex, NotOnVariety,
                      PatternError, RigidOrigamiError)
-from .kinematics import build_spanning_tree, fold_mesh
+from .kinematics import fold_mesh
 from .model import load_pattern
 
 EXIT_OK = 0
@@ -173,9 +173,8 @@ def cmd_track(args) -> int:
     if args.obj_dir:
         out = Path(args.obj_dir)
         out.mkdir(parents=True, exist_ok=True)
-        chains = build_spanning_tree(pattern)
         for k, s in enumerate(path.samples):
-            mesh = fold_mesh(pattern, s, chains=chains)
+            mesh = fold_mesh(pattern, s)
             write_obj(pattern, mesh, out / f"frame_{k:04d}.obj",
                       comments=[f"rho {list(map(float, s))}",
                                 f"residual {path.residuals[k]!r}"])
@@ -186,7 +185,6 @@ def cmd_export_obj(args) -> int:
     cfg = resolve_config(args)
     pattern = load_pattern(args.file, degrees=cfg.degrees)
     system = constraints.build_system(pattern)
-    chains = build_spanning_tree(pattern)
     if args.path:
         samples = [np.asarray(s, dtype=float)
                    for s in json.loads(Path(args.path).read_text(encoding="utf-8"))["samples"]]
@@ -194,7 +192,7 @@ def cmd_export_obj(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for k, s in enumerate(samples):
             res = constraints.residual(system, s)
-            mesh = fold_mesh(pattern, s, chains=chains)
+            mesh = fold_mesh(pattern, s)
             write_obj(pattern, mesh, out / f"frame_{k:04d}.obj",
                       comments=[f"rho {list(map(float, s))}",
                                 f"residual {res.max_norm!r}"])
@@ -202,7 +200,7 @@ def cmd_export_obj(args) -> int:
         return EXIT_OK
     rho = _rho_for(pattern, args, cfg)
     res = constraints.residual(system, rho)
-    mesh = fold_mesh(pattern, rho, chains=chains)
+    mesh = fold_mesh(pattern, rho)
     write_obj(pattern, mesh, args.out,
               comments=[f"rho {list(map(float, rho))}",
                         f"residual {res.max_norm!r}"])

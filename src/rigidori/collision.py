@@ -30,7 +30,7 @@ import numpy as np
 
 from .constraints import RESIDUAL_TOL, ConstraintSystem, build_system, residual
 from .errors import NotOnVariety
-from .kinematics import build_spanning_tree, fold_mesh
+from .kinematics import fold_mesh
 from .model import CreasePattern
 
 EPS_CONTACT = 1e-9
@@ -338,8 +338,6 @@ def check_state(pattern: CreasePattern, rho, lambda_pairs=None, rho0=None,
     res = residual(system, rho)
     if not res.satisfied(residual_tol):
         raise NotOnVariety(f"residual max-norm {res.max_norm:.3e} > {residual_tol:.1e}")
-    if chains is None:
-        chains = build_spanning_tree(pattern)
     tri = panel_triangles(pattern)
     verts = np.concatenate(fold_mesh(pattern, rho, rho0=rho0, chains=chains))
     ring = verts[tri.ring]
@@ -458,12 +456,10 @@ def first_contact(pattern: CreasePattern, samples, lambda_pairs=None,
     samples = [np.asarray(s, dtype=float) for s in
                (samples.samples if hasattr(samples, "samples") else samples)]
     system = build_system(pattern)
-    chains = build_spanning_tree(pattern)
 
     def crossing_at(r):
         rep = check_state(pattern, r, lambda_pairs=lambda_pairs, eps=eps,
-                          residual_tol=math.inf,
-                          system=system, chains=chains)
+                          residual_tol=math.inf, system=system)
         return rep.verdict == "crossing"
 
     hit = None

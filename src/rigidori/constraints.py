@@ -18,9 +18,9 @@ roots are never accepted as solved states.
 
 :func:`hinge_factors` builds the one per-crease factor.
 :func:`chain_products` is the one implementation of its product along
-equal-length chains and of the derivatives; the single-vertex solvers and
-the angular velocities use it too.  The folded-state map multiplies the same
-factors down a prefix tree of its chains (``kinematics._transforms``).
+equal-length loops and of the derivatives; the single-vertex solvers use it
+too.  The folded-state map and the angular velocities multiply the same
+factors down the pattern's spanning tree (``kinematics._walk``).
 """
 
 from __future__ import annotations

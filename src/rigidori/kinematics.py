@@ -9,12 +9,13 @@ post-multiplied product of per-crossing factors
     [rotate beta_k about z, translate (a_k, b_k)] . [rotate rho_k about x]
 
 and a material point p of panel K placed at the reference state rho0 moves
-to  T_K(rho) T_K(rho0)^{-1} p.  The chains of a call are merged into one
-prefix tree, so a step that several chains share is one node.  All of its
-factors come from one call of ``constraints.hinge_factors``, and the tree
-is walked root to leaf, one batched product per depth (the forward
-kinematics of a kinematic tree); the spanning tree's prefix tree is cached
-on the pattern.
+to  T_K(rho) T_K(rho0)^{-1} p.  The pattern's spanning tree is built once,
+as arrays: one node per tree edge with its parent node and hinge data,
+numbered depth by depth, and each panel's node.  All factors of a state come
+from one call of ``constraints.hinge_factors``, and the tree is walked root
+to leaf, one batched product per depth (the forward kinematics of a
+kinematic tree).  Chains a caller builds are merged on their shared
+prefixes into a tree of the same form.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +74,40 @@ class PanelFrame:
         return self.transform[:3, 2]
 
 
+class _Tree(NamedTuple):
+    """Chains merged on their shared prefixes, as arrays.
+
+    Node k is one crossing: the hinge data ``betas[k]``, ``offsets[k]`` and
+    ``vars[k]``, under the node ``parent[k]``.  Nodes are numbered depth by
+    depth, ``levels`` holding one node slice per depth; the root, the empty
+    prefix, is node -1, the slot after the last node.  ``leaf[c]`` is the
+    node of chain c.  The pattern's spanning tree also holds the steps of
+    each panel's chain (``paths``, one shared ``ChainStep`` per tree edge)
+    and the reference polygons: (panels, polygons) groups by vertex count,
+    or for a cone each panel's polygon in its chain frame.
+    """
+    betas: np.ndarray
+    offsets: np.ndarray
+    vars: np.ndarray
+    parent: np.ndarray
+    levels: list[slice]
+    leaf: np.ndarray
+    paths: list[list[ChainStep]] | None = None
+    polygons: list | np.ndarray | None = None
+
+
+def _arrays(steps: list[ChainStep], parent: list[int], depth: list[int],
+            leaf: list[int], **extra) -> _Tree:
+    """The ``_Tree`` of depth-ordered nodes, one step per node."""
+    starts = [k for k in range(len(depth)) if k == 0 or depth[k] != depth[k - 1]]
+    return _Tree(np.array([st.beta for st in steps]),
+                 np.array([(st.a, st.b) for st in steps]).reshape(len(steps), 2),
+                 np.array([st.var for st in steps], dtype=np.intp),
+                 np.array(parent, dtype=np.intp),
+                 [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(steps)])],
+                 np.array(leaf, dtype=np.intp), **extra)
+
+
 def _rigid_inverse(T: np.ndarray) -> np.ndarray:
     Rt = T[..., :3, :3].swapaxes(-1, -2)
     out = np.zeros(T.shape)
@@ -81,157 +117,168 @@ def _rigid_inverse(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_tree(chains: list[TransferChain]):
-    """The chains merged on their shared prefixes, numbered level by level.
+def _prefix_tree(chains: list[TransferChain]) -> _Tree:
+    """The chains merged on their shared prefixes.
 
     A node is a chain prefix, keyed on (parent node, last ChainStep), so
     chains that start alike share nodes; the nodes of depth k + 1 are made
     from the chains still longer than k, so the build is linear in steps.
-    Returns (betas, offsets, vars, levels, leaf): the hinge data of each
-    node's last step, one (node slice, parent nodes) pair per depth, and the
-    node of each chain.  The root, the empty prefix, is node -1: the slot
-    after the last node.
     """
     node: dict[tuple[int, ChainStep], int] = {}
-    steps, parents, levels = [], [], []
+    steps, parents, depth = [], [], []
     leaf = [-1] * len(chains)
     active = [c for c, chain in enumerate(chains) if chain.steps]
     k = 0
     while active:
-        lo = len(steps)
         for c in active:
             key = (leaf[c], chains[c].steps[k])
             if key not in node:
                 node[key] = len(steps)
                 steps.append(key[1])
                 parents.append(leaf[c])
+                depth.append(k)
             leaf[c] = node[key]
-        levels.append((slice(lo, len(steps)), np.array(parents[lo:], dtype=np.intp)))
         k += 1
         active = [c for c in active if len(chains[c]) > k]
-    return (np.array([st.beta for st in steps]),
-            np.array([(st.a, st.b) for st in steps]).reshape(len(steps), 2),
-            np.array([st.var for st in steps], dtype=np.intp),
-            levels, np.array(leaf, dtype=np.intp))
+    return _arrays(steps, parents, depth, leaf)
 
 
-def _panel_tree(pattern: CreasePattern, ordered: list[TransferChain]):
-    """``_prefix_tree`` of one chain per panel, in panel order.
+def _walk(tree: _Tree, rho):
+    """Hinge factors F (..., nodes, 4, 4) and node transforms T
+    (..., nodes + 1, 4, 4) at a state (j,) or a batch (..., j).
 
-    Chains equal to the pattern's own spanning tree, as those of
-    ``build_spanning_tree(pattern)`` are, get the tree's prefix tree, built
-    on first use and cached on the pattern; any other chains are merged
-    afresh.
-    """
-    _, tree = _tree(pattern)
-    if ordered != tree:
-        return _prefix_tree(ordered)
-    if pattern._tree_prefix is None:
-        pattern._tree_prefix = _prefix_tree(tree)
-    return pattern._tree_prefix
-
-
-def _transforms(chains: list[TransferChain], rho, tree=None) -> np.ndarray:
-    """Chain transforms at a state (j,) or a batch (..., j): (..., len(chains), 4, 4).
-
-    ``tree`` is ``_prefix_tree(chains)`` when the caller has it.  Every hinge
-    factor is built at once; each depth then takes one batched product
+    Every factor is built at once; each depth then takes one batched product
     T[node] = T[parent] @ F[node], the one ``chain_products`` forms per step.
     """
     rho = np.asarray(rho, dtype=float)
-    betas, offsets, vars_, levels, leaf = _prefix_tree(chains) if tree is None else tree
-    F = hinge_factors(betas, offsets, rho[..., vars_])
-    T = np.empty(rho.shape[:-1] + (len(betas) + 1, 4, 4))
+    F = hinge_factors(tree.betas, tree.offsets, rho[..., tree.vars])
+    T = np.empty(rho.shape[:-1] + (len(tree.betas) + 1, 4, 4))
     T[..., -1, :, :] = np.eye(4)       # the root
-    for nodes, parents in levels:
-        np.matmul(T[..., parents, :, :], F[..., nodes, :, :], out=T[..., nodes, :, :])
-    return T[..., leaf, :, :]
+    for nodes in tree.levels:
+        np.matmul(T[..., tree.parent[nodes], :, :], F[..., nodes, :, :],
+                  out=T[..., nodes, :, :])
+    return F, T
 
 
-def _placements(chains: list[TransferChain], rho, rho0, tree=None) -> np.ndarray:
+def _transforms(tree: _Tree, rho) -> np.ndarray:
+    """Chain transforms at a state (j,) or a batch (..., j): (..., chains, 4, 4)."""
+    return _walk(tree, rho)[1][..., tree.leaf, :, :]
+
+
+def _placements(tree: _Tree, rho, rho0) -> np.ndarray:
     """Rigid motions taking the rho0 placement of each chain's panel to the rho one."""
-    T = _transforms(chains, np.stack([np.asarray(rho, dtype=float),
-                                      np.asarray(rho0, dtype=float)]), tree)
+    T = _transforms(tree, np.stack([np.asarray(rho, dtype=float),
+                                    np.asarray(rho0, dtype=float)]))
     return T[0] @ _rigid_inverse(T[1])
 
 
 def transfer_matrix(chain: TransferChain, rho) -> np.ndarray:
-    return _transforms([chain], rho)[0]
+    return _transforms(_prefix_tree([chain]), rho)[0]
 
 
 def placement(chain: TransferChain, rho, rho0) -> np.ndarray:
     """Rigid motion taking the rho0 placement of the panel to the rho one."""
-    return _placements([chain], rho, rho0)[0]
+    return _placements(_prefix_tree([chain]), rho, rho0)[0]
 
 
 def build_spanning_tree(pattern: CreasePattern) -> dict[int, TransferChain]:
     """Breadth-first chains from the base panel, lowest-index tie-breaking.
 
-    The tree is built once per pattern; each call returns new chains over
-    its (frozen) steps.
+    Views of the tree built once per pattern: each call returns new chains
+    over its (frozen) steps.
     """
-    tree, _ = _tree(pattern)
-    return {p: TransferChain(c.panel, list(c.steps)) for p, c in tree.items()}
+    return {p: TransferChain(p, list(path)) for p, path in enumerate(_tree(pattern).paths)}
 
 
-def _tree(pattern: CreasePattern):
-    """The pattern's spanning tree and its chains in panel order, built
-    once and cached on the pattern."""
+def _tree(pattern: CreasePattern, chains=None, panels=()) -> _Tree:
+    """The pattern's spanning tree, built once and cached on the pattern, or
+    the chains of ``panels`` merged when they do not hold its steps.
+
+    The tree's steps are shared, so comparing the step lists of chains from
+    ``build_spanning_tree`` is an identity check; chains edited since are
+    told apart by value.
+    """
     if pattern._tree is None:
-        tree = _cone_chains(pattern) if pattern.is_cone else _bfs_chains(pattern)
-        pattern._tree = (tree, [tree[p] for p in sorted(tree)])
+        pattern._tree = _cone_tree(pattern) if pattern.is_cone else _bfs_tree(pattern)
+    if chains is not None:
+        ordered = [chains[p] for p in panels]
+        if [c.steps for c in ordered] != pattern._tree.paths:
+            return _prefix_tree(ordered)
     return pattern._tree
 
 
-def _bfs_chains(pattern: CreasePattern) -> dict[int, TransferChain]:
-    chains = {pattern.base_panel: TransferChain(pattern.base_panel, [])}
-    frame = {pattern.base_panel: (0.0, np.zeros(2))}  # (x-axis angle, origin)
-    queue = deque([pattern.base_panel])
-    while queue:
-        p = queue.popleft()
-        theta_p, origin_p = frame[p]
-        for q, ci in pattern.panel_adjacency[p]:
-            if q in chains:
-                continue
-            d = pattern.crease_vector(ci, into_panel=q)
-            theta_q = math.atan2(d[1], d[0])
-            origin_q = pattern.crease_origin(ci, into_panel=q)
-            beta = theta_q - theta_p
-            delta = origin_q - origin_p
-            c, s = math.cos(-theta_p), math.sin(-theta_p)
-            a = c * delta[0] - s * delta[1]
-            b = s * delta[0] + c * delta[1]
-            step = ChainStep(ci, pattern.var_of_crease[ci], beta, a, b)
-            chains[q] = TransferChain(q, chains[p].steps + [step])
-            frame[q] = (theta_q, origin_q)
-            queue.append(q)
-    return chains
+def _spanning_tree(pattern: CreasePattern, edges, polygons) -> _Tree:
+    """The ``_Tree`` of tree edges (parent panel, panel, step) given in
+    depth order, leaves in panel order."""
+    node = {pattern.base_panel: -1}
+    paths = {pattern.base_panel: []}
+    steps, parent, depth = [], [], []
+    for p, q, step in edges:
+        node[q] = len(steps)
+        steps.append(step)
+        parent.append(node[p])
+        paths[q] = paths[p] + [step]
+        depth.append(len(paths[p]))
+    panels = range(len(pattern.panels))
+    return _arrays(steps, parent, depth, [node[p] for p in panels],
+                   paths=[paths[p] for p in panels], polygons=polygons)
+
+
+def _cross(pattern: CreasePattern, frame, ci: int, q: int):
+    """The step over crease ``ci`` into panel ``q`` from a chain frame
+    (x-axis angle, origin), and the frame after it."""
+    theta_p, (xp, yp) = frame
+    dx, dy = pattern.crease_vector(ci, into_panel=q).tolist()
+    theta_q = math.atan2(dy, dx)
+    xq, yq = pattern.crease_origin(ci, into_panel=q).tolist()
+    c, s = math.cos(-theta_p), math.sin(-theta_p)
+    dx, dy = xq - xp, yq - yp
+    return (ChainStep(ci, pattern.var_of_crease[ci], theta_q - theta_p,
+                      c * dx - s * dy, s * dx + c * dy),
+            (theta_q, (xq, yq)))
+
+
+def _bfs_tree(pattern: CreasePattern) -> _Tree:
+    def edges():
+        frame = {pattern.base_panel: (0.0, (0.0, 0.0))}
+        queue = deque([pattern.base_panel])
+        while queue:
+            p = queue.popleft()
+            for q, ci in pattern.panel_adjacency[p]:
+                if q not in frame:
+                    step, frame[q] = _cross(pattern, frame[p], ci, q)
+                    queue.append(q)
+                    yield p, q, step
+
+    sizes = np.array([len(panel) for panel in pattern.panels])
+    polygons = [(idx, pattern.vertices[[pattern.panels[p] for p in idx]])
+                for idx in (np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist())))]
+    return _spanning_tree(pattern, edges(), polygons)
 
 
 def chain_for_path(pattern: CreasePattern, panel_path: list[int]) -> TransferChain:
     """Chain along an explicit panel path (for loop-closure cross-checks)."""
-    theta_p, origin_p = 0.0, np.zeros(2)
+    frame = (0.0, (0.0, 0.0))
     steps = []
     for p, q in zip(panel_path, panel_path[1:]):
         shared = [ci for (r, ci) in pattern.panel_adjacency[p] if r == q]
         if not shared:
             raise PatternError(f"panels {p} and {q} are not adjacent")
-        ci = shared[0]
-        d = pattern.crease_vector(ci, into_panel=q)
-        theta_q = math.atan2(d[1], d[0])
-        origin_q = pattern.crease_origin(ci, into_panel=q)
-        c, s = math.cos(-theta_p), math.sin(-theta_p)
-        delta = origin_q - origin_p
-        steps.append(ChainStep(ci, pattern.var_of_crease[ci], theta_q - theta_p,
-                               c * delta[0] - s * delta[1],
-                               s * delta[0] + c * delta[1]))
-        theta_p, origin_p = theta_q, origin_q
+        step, frame = _cross(pattern, frame, shared[0], q)
+        steps.append(step)
     return TransferChain(panel_path[-1], steps)
 
 
 # -- cone patterns (sector angles overridden at a single inner vertex) -----
 
-def _cone_data(pattern: CreasePattern):
+def _cone_tree(pattern: CreasePattern) -> _Tree:
+    """Chains around a cone vertex, developed over the cut at the base panel.
+
+    The walk runs counter-clockwise from the base so the seam crease (the
+    base panel's lower fan crease) is never crossed; its folding angle is
+    fixed by loop closure rather than by the tree.  Each panel's polygon is
+    the unit wedge of its sector in its chain frame.
+    """
     if len(pattern.alpha_override) != 1:
         raise PatternError("kinematics supports cone angles at one vertex only")
     (v,) = pattern.alpha_override
@@ -240,45 +287,26 @@ def _cone_data(pattern: CreasePattern):
                            "the only inner vertex")
     fan = pattern.vertex_creases[v]
     alphas = pattern.sector_angles(v)
+    n = len(fan)
     # panel at fan position j sits between creases fan[j] and fan[j+1]
     panel_at = []
-    for j in range(len(fan)):
-        ci, cj = fan[j], fan[(j + 1) % len(fan)]
+    polygons = np.zeros((len(pattern.panels), 3, 3))
+    for j in range(n):
+        ci, cj = fan[j], fan[(j + 1) % n]
         shared = set(pattern.crease_panels[ci]) & set(pattern.crease_panels[cj])
         if len(shared) != 1:
             raise PatternError("cone panels must be simple wedges")
         panel_at.append(shared.pop())
-    return v, fan, alphas, panel_at
-
-
-def _cone_chains(pattern: CreasePattern) -> dict[int, TransferChain]:
-    """Chains around a cone vertex, developed over the cut at the base panel.
-
-    The walk runs counter-clockwise from the base so the seam crease (the
-    base panel's lower fan crease) is never crossed; its folding angle is
-    fixed by loop closure rather than by the tree.
-    """
-    v, fan, alphas, panel_at = _cone_data(pattern)
-    n = len(fan)
+        span = float(alphas[(j + 1) % n])
+        polygons[panel_at[-1], 1:, :2] = (1.0, 0.0), (math.cos(span), math.sin(span))
     j0 = panel_at.index(pattern.base_panel)
-    chains = {pattern.base_panel: TransferChain(pattern.base_panel, [])}
-    steps: list[ChainStep] = []
+    edges = []
     for m in range(1, n):
         j = (j0 + m) % n
         ci = fan[j]
-        steps = steps + [ChainStep(ci, pattern.var_of_crease[ci],
-                                   float(alphas[j]), 0.0, 0.0)]
-        chains[panel_at[j]] = TransferChain(panel_at[j], steps)
-    return chains
-
-
-def _cone_local_polygon(pattern: CreasePattern, panel: int, radius: float = 1.0):
-    v, fan, alphas, panel_at = _cone_data(pattern)
-    j = panel_at.index(panel)
-    span = float(alphas[(j + 1) % len(fan)])
-    return np.array([[0.0, 0.0, 0.0],
-                     [radius, 0.0, 0.0],
-                     [radius * math.cos(span), radius * math.sin(span), 0.0]])
+        edges.append((panel_at[j - 1], panel_at[j],
+                      ChainStep(ci, pattern.var_of_crease[ci], float(alphas[j]), 0.0, 0.0)))
+    return _spanning_tree(pattern, edges, polygons)
 
 
 # -- folded-state map ------------------------------------------------------
@@ -321,8 +349,6 @@ def fold_point(pattern: CreasePattern, rho, rho0, point, panel: int | None = Non
     must lie in the closure of ``panel``; when ``panel`` is omitted the
     lowest-indexed panel containing the point is used.
     """
-    if chains is None:
-        chains = build_spanning_tree(pattern)
     if panel is None:
         if pattern.is_cone:
             raise PatternError("cone patterns need an explicit panel index")
@@ -334,45 +360,36 @@ def fold_point(pattern: CreasePattern, rho, rho0, point, panel: int | None = Non
             raise PointOutsidePanel(f"point {point} lies in no panel")
     elif not pattern.is_cone and not _point_in_panel(pattern, point, panel):
         raise PointOutsidePanel(f"point {point} not in closure of panel {panel}")
-    T = placement(chains[panel], rho, rho0)
+    if chains is None:
+        T = _placements(_tree(pattern), rho, rho0)[panel]
+    else:
+        T = placement(chains[panel], rho, rho0)
     return (T @ _lift(point))[:3]
 
 
 def fold_mesh(pattern: CreasePattern, rho, rho0=None,
-              chains: dict[int, TransferChain] | None = None,
-              cone_radius: float = 1.0) -> list[np.ndarray]:
+              chains: dict[int, TransferChain] | None = None) -> list[np.ndarray]:
     """Placed 3-d polygon per panel (indexed like ``pattern.panels``)."""
-    if chains is None:
-        chains, _ = _tree(pattern)
-    panels = range(len(pattern.panels))
-    ordered = [chains[p] for p in panels]
-    tree = _panel_tree(pattern, ordered)
+    polygons = _tree(pattern).polygons
+    tree = _tree(pattern, chains, range(len(pattern.panels)))
     if pattern.is_cone:
-        T = _transforms(ordered, rho, tree)
-        return [(T[p, :3, :3] @ _cone_local_polygon(pattern, p, cone_radius).T).T
-                + T[p, :3, 3] for p in panels]
+        T = _transforms(tree, rho)
+        return [(T[p, :3, :3] @ poly.T).T + T[p, :3, 3] for p, poly in enumerate(polygons)]
     if rho0 is None:
         rho0 = pattern.initial_state().rho
-    T = _placements(ordered, rho, rho0, tree)
-    by_length: dict[int, list[int]] = {}
-    for p in panels:
-        by_length.setdefault(len(pattern.panels[p]), []).append(p)
-    out: list[np.ndarray] = [None] * len(panels)
-    for idx in by_length.values():
-        polys = pattern.vertices[[pattern.panels[p] for p in idx]]
+    T = _placements(tree, rho, rho0)
+    out: list[np.ndarray] = [None] * len(pattern.panels)
+    for idx, polys in polygons:
         # reference points lie at z = 0, so only the first two columns act
         placed = (np.einsum("kij,klj->kli", T[idx, :3, :2], polys)
                   + T[idx, :3, 3][:, None])
-        for p, pts in zip(idx, placed):
+        for p, pts in zip(idx.tolist(), placed):
             out[p] = pts
     return out
 
 
 def panel_frames(pattern: CreasePattern, rho,
                  chains: dict[int, TransferChain] | None = None) -> list[PanelFrame]:
-    if chains is None:
-        chains, _ = _tree(pattern)
-    panels = sorted(chains)
-    ordered = [chains[p] for p in panels]
-    T = _transforms(ordered, rho, _panel_tree(pattern, ordered))
+    panels = range(len(pattern.panels)) if chains is None else sorted(chains)
+    T = _transforms(_tree(pattern, chains, panels), rho)
     return [PanelFrame(p, T[i]) for i, p in enumerate(panels)]

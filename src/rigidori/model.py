@@ -176,12 +176,10 @@ class CreasePattern:
             v for v in range(self.n_vertices)
             if v not in boundary and self.vertex_creases[v]
         )
-        # filled on first use by collision.panel_triangles, kinematics._tree
-        # (the spanning tree) and kinematics._panel_tree (the tree's chains
-        # merged into one prefix tree, walked level by level)
+        # filled on first use by collision.panel_triangles and kinematics._tree
+        # (the spanning tree as arrays, with the reference panel polygons)
         self._panel_triangles = None
         self._tree = None
-        self._tree_prefix = None
 
     def _ray_angle(self, v: int, crease_index: int) -> float:
         c = self.creases[crease_index]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rigidori import (angular_velocities, build_system, classify,
-                      deg_formula_developable, flex_growth_order, jacobian,
-                      numeric_rank, residual, system_from_loops, vertex_loop)
+                      deg_formula_developable, flex_growth_order,
+                      gauss_newton_correct, jacobian, numeric_rank,
+                      panel_frames, residual, system_from_loops, vertex_loop)
 from rigidori.errors import NotAFlex, NotDevelopable, NotOnVariety
 from rigidori import patterns
 
@@ -147,6 +148,43 @@ def test_angular_velocity_identity_on_random_flexes(rng):
         d = rep.flex_basis @ rng.normal(size=rep.deg)
         # raises internally if the per-chain identity fails at 1e-8
         angular_velocities(pat, np.zeros(pat.n_vars), d, system=system)
+
+
+def _differenced_omegas(pat, rho, d, h=1e-5):
+    """Angular velocities read off skew(omega) = dR/dt R^T, with dR/dt the
+    central difference of the panel rotations of ``panel_frames`` along d."""
+    R = [np.array([f.transform[:3, :3] for f in panel_frames(pat, rho + s * h * d)])
+         for s in (1.0, -1.0, 0.0)]
+    A = (R[0] - R[1]) / (2 * h) @ R[2].swapaxes(1, 2)
+    return np.stack([A[:, 2, 1] - A[:, 1, 2], A[:, 0, 2] - A[:, 2, 0],
+                     A[:, 1, 0] - A[:, 0, 1]], axis=1) / 2
+
+
+def test_angular_velocities_match_differences_of_panel_frames(rng):
+    # the Miura mode of a 4x4 grid: horizontal creases near 0.4, zigzag ones
+    # near +-0.8 alternating by column (rows hold 5 vertices)
+    grid = patterns.sheared_grid(4, 4, shear=0.3)
+    grid_system = build_system(grid)
+    guess = [0.4 if grid.vertices[c.u][1] == grid.vertices[c.v][1]
+             else 0.8 if (c.u % 5) % 2 else -0.8
+             for c in (grid.creases[ci] for ci in grid.inner_creases)]
+    grid_state, _, ok = gauss_newton_correct(grid_system, np.array(guess), max_iter=50)
+    assert ok
+    cone = patterns.single_vertex_cone([1.2, 1.5, 1.3, 1.6])
+    cone_system = build_system(cone)
+    cone_state, _, ok = gauss_newton_correct(cone_system, np.array([1.0, 0.5, 1.0, 0.5]),
+                                             max_iter=50)
+    assert ok
+    for pat, system, rho in ((grid, grid_system, grid_state),
+                             (cone, cone_system, cone_state)):
+        rep = classify(system, rho)
+        assert rep.deg > 0 and np.abs(rho).max() > 0.1
+        for _ in range(3):
+            d = rep.flex_basis @ rng.normal(size=rep.deg)
+            d *= rng.uniform(0.5, 2.0) / np.abs(d).max()
+            omegas = angular_velocities(pat, rho, d, system=system)
+            assert np.abs(omegas).max() > 0.1
+            assert np.abs(omegas - _differenced_omegas(pat, rho, d)).max() < 1e-8
 
 
 def test_angular_velocity_rejects_non_flex():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rigidori import (build_spanning_tree, build_system, chain_for_path,
-                      fold_mesh, fold_point, panel_frames, placement,
-                      residual, transfer_matrix)
+                      check_state, fold_mesh, fold_point, panel_frames,
+                      placement, residual, transfer_matrix)
 from rigidori.errors import PointOutsidePanel
 from rigidori.kinematics import ChainStep, TransferChain
 from rigidori import patterns
@@ -186,18 +186,19 @@ def test_frames_are_proper_rotations(rng):
     assert np.abs(base.transform - np.eye(4)).max() == 0.0
 
 
-# -- chain groups cached with the spanning tree ---------------------------------
+# -- the spanning tree cached on the pattern ------------------------------------
 
-def _counting_groups(monkeypatch):
+def _counting(monkeypatch, name):
+    """The first argument of each later call of ``kinematics.<name>``."""
     from rigidori import kinematics
     calls = []
-    original = kinematics._prefix_tree
+    original = getattr(kinematics, name)
 
-    def counted(chains):
-        calls.append(len(chains))
-        return original(chains)
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
 
-    monkeypatch.setattr(kinematics, "_prefix_tree", counted)
+    monkeypatch.setattr(kinematics, name, counted)
     return calls
 
 
@@ -205,16 +206,26 @@ def test_fold_mesh_reuses_the_tree_groups(monkeypatch):
     pat = patterns.sheared_grid(4, 4, shear=0.3)
     rho = np.zeros(pat.n_vars)
     first = fold_mesh(pat, rho, chains=build_spanning_tree(pat))
-    calls = _counting_groups(monkeypatch)
+    cached = pat._tree
+    merged = _counting(monkeypatch, "_prefix_tree")
+    built = _counting(monkeypatch, "_bfs_tree")
     for _ in range(3):
         again = fold_mesh(pat, rho, chains=build_spanning_tree(pat))
     fold_mesh(pat, rho)
-    assert calls == []
+    panel_frames(pat, rho, chains=build_spanning_tree(pat))
+    check_state(pat, rho, chains=build_spanning_tree(pat))
+    check_state(pat, rho)
+    assert merged == [] and built == []
+    assert pat._tree is cached
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    # the groups go with the pattern: derived structure rebuilds them
+    # the tree goes with the pattern: derived structure rebuilds it, and
+    # chains of the old tree still equal the new one step for step
+    old = build_spanning_tree(pat)
     pat._derive()
-    fold_mesh(pat, rho, chains=build_spanning_tree(pat))
-    assert calls == [len(pat.panels)]
+    assert pat._tree is None
+    fold_mesh(pat, rho, chains=old)
+    assert merged == [] and built == [pat]
+    assert pat._tree is not cached
 
 
 def test_fold_mesh_regroups_chains_that_are_not_the_tree(monkeypatch):
@@ -222,7 +233,7 @@ def test_fold_mesh_regroups_chains_that_are_not_the_tree(monkeypatch):
     tree = build_spanning_tree(pat)
     assert tree[2] == chain_for_path(pat, [0, 1, 2])
     fold_mesh(pat, np.zeros(4), chains=tree)        # fills the cache
-    calls = _counting_groups(monkeypatch)
+    calls = _counting(monkeypatch, "_prefix_tree")
     # panel 2 reached the other way round the vertex; off the variety the
     # two paths place it differently
     other = dict(tree)
@@ -234,7 +245,7 @@ def test_fold_mesh_regroups_chains_that_are_not_the_tree(monkeypatch):
     for chains in (other, edited):
         calls.clear()
         mesh = fold_mesh(pat, rho, chains=chains)
-        assert calls == [len(pat.panels)]
+        assert [len(c) for c in calls] == [len(pat.panels)]
         for p, poly in enumerate(mesh):
             T = placement(chains[p], rho, np.zeros(4))
             flat = pat.vertices[pat.panels[p]]
@@ -274,7 +285,7 @@ def test_transforms_match_per_chain_products_bit_for_bit(rng):
         lengths = {len(c) for c in chains}
         assert 0 in lengths and len(lengths) > 2
         tree = _prefix_tree(chains)
-        assert len(tree[0]) < sum(len(c) for c in chains)   # prefixes are shared
+        assert len(tree.betas) < sum(len(c) for c in chains)   # prefixes are shared
         for rho in (rng.uniform(-math.pi, math.pi, 6),
                     rng.uniform(-math.pi, math.pi, (3, 2, 6))):
             want = np.stack([
@@ -283,8 +294,7 @@ def test_transforms_match_per_chain_products_bit_for_bit(rng):
                                np.reshape([st.var for st in c.steps], (1, len(c))).astype(int),
                                rho)[..., 0, :, :]
                 for c in chains], axis=-3)
-            assert np.array_equal(_transforms(chains, rho), want)
-            assert np.array_equal(_transforms(chains, rho, tree), want)
+            assert np.array_equal(_transforms(tree, rho), want)
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -292,16 +302,26 @@ def test_spanning_prefix_tree_has_a_node_per_tree_edge(monkeypatch, n):
     pat = patterns.sheared_grid(n, n, shear=0.3)
     rho = np.zeros(pat.n_vars)
     fold_mesh(pat, rho)
-    betas, offsets, vars_, levels, leaf = pat._tree_prefix
-    assert len(betas) == len(vars_) == len(offsets) == len(pat.panels) - 1
+    cached = pat._tree
+    assert (len(cached.betas) == len(cached.vars) == len(cached.offsets)
+            == len(cached.parent) == len(pat.panels) - 1)
     tree = build_spanning_tree(pat)
     longest = max(len(c) for c in tree.values())
-    assert len(levels) == longest
-    assert [lv.start for lv, _ in levels] == sorted(lv.start for lv, _ in levels)
-    # panel_frames looks up the same cached tree
-    calls = _counting_groups(monkeypatch)
+    assert len(cached.levels) == longest
+    assert [lv.start for lv in cached.levels] == sorted(lv.start for lv in cached.levels)
+    # each panel's chain is the path of parent links from its node to the root
+    for p, chain in tree.items():
+        node, up = cached.leaf[p], []
+        while node >= 0:
+            up.append(node)
+            node = cached.parent[node]
+        assert [st.var for st in chain.steps] == cached.vars[up[::-1]].tolist()
+        assert [st.beta for st in chain.steps] == cached.betas[up[::-1]].tolist()
+        assert all(a is b for a, b in zip(chain.steps, cached.paths[p]))
+    # panel_frames walks the same cached tree
+    calls = _counting(monkeypatch, "_prefix_tree")
     frames = panel_frames(pat, rho)
     panel_frames(pat, rho, chains=tree)
-    assert calls == []
+    assert calls == [] and pat._tree is cached
     assert all(np.array_equal(f.transform, transfer_matrix(tree[f.panel], rho))
                for f in frames)

@@ -13,9 +13,14 @@ draws, ``fold_mesh`` and ``panel_frames`` on ``sheared_grid(16, 16)`` and
 the cross vertex, ``fold_mesh`` of both with a random ``rho0`` in place of
 the flat default, and ``fold_mesh`` of the cross vertex with chains that
 are not its spanning tree (panel 2 reached through panel 3 instead of
-panel 1), so that placement off the cached tree is compared too.  The largest
-difference of each output is printed; the exit code is 1 when one exceeds
-``--tol``.
+panel 1), so that placement off the cached tree is compared too.  At the
+same states they record ``fold_point`` of six seeded points in seeded
+panels, with the panel given and looked up.  They record
+``angular_velocities`` along the flex of the Miura states of
+``sheared_grid(8, 8)`` and ``sheared_grid(16, 16)`` and along both branches
+of the cross vertex at a seeded angle, every flex scaled to max-norm 1.  The
+largest difference of each output is printed; the exit code is 1 when one
+exceeds ``--tol``, or 1e-14 for the angular velocities.
 
 Both runs also record ``check_state`` reports: on every request the
 benchmark's ``contact`` workload can make (each line fold of the 8x8 grid in
@@ -80,6 +85,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_TOL = 1e-9
+ANGULAR_TOL = 1e-14     # flexes are scaled to max-norm 1
 VALIDATE_DRAWS = 150
 PACKING_DRAWS = 2000
 
@@ -117,6 +123,7 @@ def dump(out: str, states_from: str | None) -> None:
             for p, poly in enumerate(ro.fold_mesh(pat, rho, chains=chains)):
                 data[f"{name}/{i}/fold_mesh/{p}"] = poly
     dump_placement(data, given)
+    dump_angular(data, given)
     dump_contact(data, given)
     dump_generic(data)
     dump_packing(data)
@@ -194,6 +201,50 @@ def dump_placement(data: dict, given) -> None:
                     data[f"{name}/{i}/{what}/{p}"] = poly
             data[f"{name}/{i}/panel_frames"] = np.array(
                 [f.transform for f in ro.panel_frames(pat, rho)])
+            # seeded points in seeded panels: (panel, x, y) rows
+            if given is not None:
+                points = given[f"{name}/{i}/points"]
+            else:
+                panels = rng.integers(0, len(pat.panels), 6)
+                points = np.array([
+                    (p, *(rng.dirichlet(np.ones(len(pat.panels[p]))) @ pat.panel_polygon(p)))
+                    for p in panels])
+            data[f"{name}/{i}/points"] = points
+            data[f"{name}/{i}/fold_point"] = np.array(
+                [ro.fold_point(pat, rho, rho0, (x, y), panel=int(p)) for p, x, y in points]
+                + [ro.fold_point(pat, rho, rho0, (x, y)) for _, x, y in points])
+
+
+def dump_angular(data: dict, given) -> None:
+    """Angular velocities along the flex of the 8x8 and 16x16 Miura states
+    and along both branches of the cross vertex, flexes scaled to max-norm 1."""
+    import rigidori as ro
+    from rigidori import patterns
+    from workloads import SHEAR, Loaded, miura_state
+
+    rng = np.random.default_rng(23)
+    cases = {}
+    for n in (8, 16):
+        pat = patterns.sheared_grid(n, n, shear=SHEAR)
+        system = ro.build_system(pat)
+        if given is None:
+            rho, flex = miura_state(Loaded(pat, system, None), 1.0)
+            cases[f"miura{n}"] = (pat, system, rho, flex)
+        else:
+            cases[f"miura{n}"] = (pat, system, None, None)
+    cross = patterns.cross_vertex()
+    for k, branch in enumerate(([1.0, 0, 1, 0], [0, 1.0, 0, 1])):
+        t = rng.uniform(-math.pi, math.pi)
+        cases[f"cross{k}"] = (cross, ro.build_system(cross), t * np.array(branch),
+                              np.array(branch))
+    for name, (pat, system, rho, flex) in cases.items():
+        if given is not None:
+            rho, flex = given[f"angular/{name}/state"], given[f"angular/{name}/flex"]
+        flex = flex / np.abs(flex).max()
+        data[f"angular/{name}/state"] = rho
+        data[f"angular/{name}/flex"] = flex
+        data[f"angular/{name}/angular_velocities"] = ro.angular_velocities(
+            pat, rho, flex, system=system)
 
 
 def dump_generic(data: dict) -> None:
@@ -469,8 +520,8 @@ def main() -> int:
     for what, (equal, total) in sorted(reports.items()):
         print(f"{what:40s} {equal}/{total} reports equal")
     print(f"validate: {crashes} old crashes now raise a PatternError")
-    within = all(diff <= (SAMPLE_TOL if what == "track samples" else args.tol)
-                 for what, diff in worst.items())
+    tol = {"track samples": SAMPLE_TOL, "angular angular_velocities": ANGULAR_TOL}
+    within = all(diff <= tol.get(what, args.tol) for what, diff in worst.items())
     return 0 if within and all(e == t for e, t in reports.values()) else 1
 
 
