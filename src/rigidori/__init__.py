@@ -21,8 +21,8 @@ from .model import (CreasePattern, FoldState, cos_sin_from_normalized,
 from .singlevertex import (Degree12Result, SingleVertexCase, VertexSolutionSet,
                            classify_vertex, explore_vertex, solve_degree3,
                            solve_degree_1_2)
-from .tracking import (FoldPath, compose_forest, gauss_newton_correct,
-                       loop_flex_path, single_loop_system, track_flex,
-                       track_to)
+from .tracking import (FoldPath, compose_forest, correct_batch,
+                       gauss_newton_correct, loop_flex_path,
+                       single_loop_system, track_flex, track_to)
 
 __version__ = "0.1.0"

@@ -1,4 +1,9 @@
-"""Tangent-space rigidity analysis: Jacobian, DOF, flexes, self-stresses."""
+"""Tangent-space rigidity analysis: Jacobian, DOF, flexes, self-stresses.
+
+:func:`jacobian` differentiates one state or a batch of states; the
+batched corrector ``tracking.correct_batch`` reads the residual scalars and
+the Jacobian of a batch together from ``_linearise``.
+"""
 
 from __future__ import annotations
 
@@ -21,15 +26,25 @@ _S_X = np.array([[0.0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
 def jacobian(system: ConstraintSystem, rho) -> np.ndarray:
     """Analytic derivative of the stacked loop residuals, shape (3i+6h) x j.
 
+    ``rho`` is one state (j,) or a batch (..., j), giving (..., 3i+6h, j).
     Columns of creases appearing in no loop are identically zero; such
     creases fold freely.
     """
-    J = np.zeros((system.residual_dim, system.n_vars))
+    return _linearise(system, rho)[1]
+
+
+def _linearise(system: ConstraintSystem, rho):
+    """Stacked loop residual scalars (..., 3i+6h) and their Jacobian, from
+    one :func:`chain_products` call per loop group."""
+    rho = np.asarray(rho, dtype=float)
+    vec = np.zeros(rho.shape[:-1] + (system.residual_dim,))
+    J = np.zeros(rho.shape[:-1] + (system.residual_dim, system.n_vars))
     for kind, _, rows, betas, offsets, vars_ in system.groups:
-        _, D, _ = chain_products(betas, offsets, vars_, rho, derivatives=True)
+        T, D, _ = chain_products(betas, offsets, vars_, rho, derivatives=True)
+        vec[..., rows] = loop_scalars(T, kind)
         # a crease crossed twice by one loop adds both derivatives
-        np.add.at(J, (rows[:, None, :], vars_[:, :, None]), loop_scalars(D, kind))
-    return J
+        np.add.at(J, (..., rows[:, None, :], vars_[:, :, None]), loop_scalars(D, kind))
+    return vec, J
 
 
 def _rank_split(J: np.ndarray, rel_tol: float = RANK_REL_TOL):
@@ -135,7 +150,7 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
     J = jacobian(system, rho)
     if J.size and rho_dot.size:
         drive = float(np.abs(J @ rho_dot).max())
-        scale = max(1.0, float(np.abs(rho_dot).max()))
+        scale = max(1.0, float(np.abs(rho_dot).max(initial=0.0)))
         if drive > flex_tol * scale:
             raise NotAFlex(f"J . rho_dot has max entry {drive:.3e}")
     panels = range(len(pattern.panels)) if chains is None else sorted(chains)
@@ -150,7 +165,7 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
         dT[nodes] = dT[up] @ F[nodes] + rate[nodes, None, None] * (T[nodes] @ _S_X)
     skew = loop_scalars(dT[:, :3, :3] @ T[:, :3, :3].swapaxes(-1, -2), "vertex")
     err = float(np.abs(skew - omega).max())
-    limit = identity_tol * max(1.0, float(np.abs(rho_dot).max()))
+    limit = identity_tol * max(1.0, float(np.abs(rho_dot).max(initial=0.0)))
     if err > limit:
         raise RuntimeError(f"angular-velocity identity violated: {err:.3e}")
     omegas = np.zeros((len(pattern.panels), 3))

@@ -10,6 +10,7 @@ configuration produce byte-identical results.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -259,6 +260,7 @@ def cmd_solve_vertex(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rigidori",
                                  description="Rigid origami kinematics and "
@@ -314,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the parser is built once per process; each call parses into a fresh
+    # namespace, and resolve_config reads RIGIDORI_* at call time
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

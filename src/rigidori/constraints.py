@@ -93,13 +93,16 @@ def chain_products(betas, offsets, vars, rho, derivatives: bool = False):
 
 
 def loop_scalars(T, kind: str) -> np.ndarray:
-    """Independent closure scalars of loop products ``T`` (..., 4, 4).
+    """Independent closure scalars of loop products ``T`` (..., 4, 4), or of
+    rotation blocks (..., 3, 3) for a vertex.
 
     The skew part of the rotation block, plus the translation column for a
     hole; shape (..., 3) or (..., 6).
     """
-    R = T[..., :3, :3]
-    skew = (R - R.swapaxes(-1, -2))[..., [2, 0, 1], [1, 2, 0]] / 2.0
+    k = T.shape[-1]
+    M = T.reshape(T.shape[:-2] + (k * k,))
+    # entries (2, 1), (0, 2), (1, 0) less their mirrors, read row-major
+    skew = (M[..., [2 * k + 1, 2, k]] - M[..., [k + 2, 2 * k, 1]]) / 2.0
     if kind == "hole":
         return np.concatenate([skew, T[..., :3, 3]], axis=-1)
     return skew

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import chain_products, loop_deviation, loop_scalars
+from .constraints import loop_deviation, system_from_loops, vertex_loop
 from .errors import BadAngles, NoCase, NotDegree3
 from .model import TWO_PI
+from .tracking import correct_batch
 
 ANGLE_TOL = 1e-9
 SOLUTION_RESIDUAL_TOL = 1e-10
@@ -88,12 +89,6 @@ def _check_alphas(alphas, n_expected=None):
     return alphas
 
 
-def _vertex_products(alphas, R, derivatives=False):
-    """:func:`chain_products` of one vertex loop at a batch of states R (B, n)."""
-    n = len(alphas)
-    return chain_products([alphas], np.zeros((1, n, 2)), [np.arange(n)], R, derivatives)
-
-
 def solve_degree3(alphas) -> VertexSolutionSet:
     """Full solution set of a degree-3 single-vertex loop.
 
@@ -137,7 +132,7 @@ def solve_degree3(alphas) -> VertexSolutionSet:
     mag = np.arccos(np.clip(cos_rho, -1.0, 1.0))
     cands = mag * np.array([[s1, s2, s3] for s1 in (1, -1) for s2 in (1, -1)
                             for s3 in (1, -1)], dtype=float)
-    dev = loop_deviation(_vertex_products(alphas, cands)[:, 0], "vertex")
+    dev = loop_deviation(vertex_loop(alphas, range(3)).transform(cands), "vertex")
     seen = []
     for cand in cands[dev <= SOLUTION_RESIDUAL_TOL]:
         if any(np.abs(cand - p).max() < 1e-9 for p in seen):
@@ -304,8 +299,10 @@ def explore_vertex(alphas, sweep_var: int = 0, grid_step: float = math.pi / 50,
     One folding angle is swept over a grid and, together with a few start
     templates for the remaining angles, seeds a least-norm Gauss-Newton
     solve over all n angles at once; fixing the swept angle would miss
-    isolated solutions lying between grid values.  Returns every converged
-    in-range solution (duplicates included; callers cluster as needed).
+    isolated solutions lying between grid values.  The solve is the
+    one-loop case of :func:`tracking.correct_batch`, which iterates only the
+    starts that are still active.  Returns every converged in-range solution
+    in start order (duplicates included; callers cluster as needed).
     This is the numeric fallback for degrees with no closed form and the
     independent completeness oracle for the degree-3 solver.
     """
@@ -315,24 +312,10 @@ def explore_vertex(alphas, sweep_var: int = 0, grid_step: float = math.pi / 50,
     G = len(grid)
 
     starts = [np.zeros(n), np.full(n, 1.5), np.full(n, -1.5)]
-    B = G * len(starts)
     R = np.vstack([np.tile(x0, (G, 1)) for x0 in starts])
     R[:, sweep_var] = np.tile(grid, len(starts))
-    active = np.ones(B, dtype=bool)
-    eye3 = 1e-12 * np.eye(3)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        T, D, _ = _vertex_products(alphas, R, derivatives=True)
-        res = loop_scalars(T[:, 0], "vertex")
-        Jt = loop_scalars(D[:, 0], "vertex")  # transposed loop Jacobians, (B, n, 3)
-        # least-norm step: dx = J^T (J J^T)^-1 (-res)
-        JJt = Jt.transpose(0, 2, 1) @ Jt + eye3
-        lam = np.linalg.solve(JJt, -res[..., None])
-        dx = (Jt @ lam)[..., 0]
-        step = np.abs(dx).max(axis=1)
-        R = R + np.where(active[:, None], dx, 0.0)
-        active = active & (step > 1e-13) & (np.abs(R).max(axis=1) < 2.0 * math.pi)
-    dev = loop_deviation(_vertex_products(alphas, R)[:, 0], "vertex")
+    loop = vertex_loop(alphas, range(n))
+    R = correct_batch(system_from_loops([loop], n), R, max_iter)
+    dev = loop_deviation(loop.transform(R), "vertex")
     ok = (dev <= residual_tol) & (np.abs(R).max(axis=1) <= math.pi + 1e-9)
-    return [R[g].copy() for g in range(B) if ok[g]]
+    return list(R[ok])

@@ -20,6 +20,10 @@ evidence (not proof) that the endpoints are not 0-connected.
 the sharing structure of the loops is a forest.  Both correct with
 least-squares steps only, as ``gauss_newton_correct`` does: they start
 from arbitrary guesses.
+
+``correct_batch`` is the multi-start corrector: least-norm Gauss-Newton on
+a stack of states, each on its own, iterating only the states still active.
+``singlevertex.explore_vertex`` is its one-loop case.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import RANK_REL_TOL, _rank_split, jacobian
+from .analysis import RANK_REL_TOL, _linearise, _rank_split, jacobian
 from .constraints import (RESIDUAL_TOL, ConstraintSystem, Loop, residual)
 from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
                      NotForest, NotOnVariety)
@@ -116,6 +120,35 @@ def _correct(system, rho, tol=CORRECTOR_TOL, max_iter=MAX_CORRECTOR_ITER,
             return rho, it + 1, False, None, certified
     res = residual(system, rho)
     return rho, max_iter, res.max_norm <= tol, res, certified
+
+
+def correct_batch(system: ConstraintSystem, states,
+                  max_iter: int = MAX_CORRECTOR_ITER) -> np.ndarray:
+    """Least-norm Gauss-Newton on a stack of states (B, j), each on its own.
+
+    Every iteration gathers the still-active states, reads their residual
+    scalars r and Jacobians J from one batched :func:`chain_products` call
+    per loop group, steps by J^T (J J^T + 1e-12 I)^-1 (-r) and scatters the
+    results back.  A state stops once its step is at most 1e-13 or once it
+    leaves the box |rho| < 2 pi.  States are independent: each comes out bit
+    for bit as it would in a batch of one.  Returns the corrected stack;
+    callers filter it by residual.
+    """
+    R = np.array(states, dtype=float)
+    reg = 1e-12 * np.eye(system.residual_dim)
+    live = np.arange(len(R))
+    for _ in range(max_iter):
+        if not len(live):
+            break
+        X = R[live]
+        res, J = _linearise(system, X)
+        lam = np.linalg.solve(J @ J.transpose(0, 2, 1) + reg, -res[..., None])
+        dx = (J.transpose(0, 2, 1) @ lam)[..., 0]
+        X += dx
+        R[live] = X
+        live = live[(np.abs(dx).max(axis=1) > 1e-13)
+                    & (np.abs(X).max(axis=1) < 2.0 * math.pi)]
+    return R
 
 
 def _pick_rows(J, rank):

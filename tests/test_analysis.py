@@ -31,6 +31,17 @@ def test_jacobian_matches_finite_differences(make, label, rng):
         assert np.abs(Ja - Jf).max() / scale < 1e-6
 
 
+@pytest.mark.parametrize("make", [patterns.cross_vertex, patterns.pentagon_ring,
+                                  patterns.square_ring, patterns.forest_two_vertices])
+def test_batched_jacobian_matches_single_states(make, rng):
+    system = build_system(make())
+    states = rng.uniform(-math.pi, math.pi, (2, 3, system.n_vars))
+    J = jacobian(system, states)
+    assert J.shape == (2, 3, system.residual_dim, system.n_vars)
+    for idx in np.ndindex(2, 3):
+        assert J[idx].tobytes() == jacobian(system, states[idx]).tobytes()
+
+
 def test_free_crease_column_is_zero():
     pat = patterns.cross_with_free_crease()
     system = build_system(pat)
@@ -127,6 +138,11 @@ def test_angular_velocity_zero_flex():
     pat = patterns.miura_3x3()
     omegas = angular_velocities(pat, np.zeros(pat.n_vars), np.zeros(pat.n_vars))
     assert np.abs(omegas).max() == 0.0
+
+
+def test_angular_velocities_without_variables():
+    omegas = angular_velocities(patterns.plain_square(), [], [])
+    assert omegas.shape == (1, 3) and not omegas.any()
 
 
 def test_angular_velocity_cross_flex():

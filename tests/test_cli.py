@@ -186,6 +186,20 @@ def test_config_precedence(tmp_path, fig2_file, capsys, monkeypatch):
     assert len(payload["samples"]) == 4  # flag beats env
 
 
+def test_cached_parser_reads_each_call_afresh(fig2_file, capsys, monkeypatch):
+    from rigidori.cli import build_parser
+    assert build_parser() is build_parser()
+    for steps in (3, 6):
+        monkeypatch.setenv("RIGIDORI_MAX_STEPS", str(steps))
+        code, payload = run_cli(capsys, "track", fig2_file, "--direction", "0,1,0,1")
+        assert code == 0 and len(payload["samples"]) == steps + 1
+    # off the variety, then the flat default: --rho is not carried over
+    code, payload = run_cli(capsys, "analyze", fig2_file, "--rho", "0.4,0.4,0,0")
+    assert code == 3 and payload["error"] == "NotOnVariety"
+    code, payload = run_cli(capsys, "analyze", fig2_file)
+    assert code == 0 and payload["deg"] == 2
+
+
 def test_bad_config_value_rejected(fig2_file, capsys):
     code, payload = run_cli(capsys, "--step-size", "-1.0", "validate", fig2_file)
     assert code == 2

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rigidori import (build_system, classify, compose_forest, loop_flex_path,
-                      residual, single_loop_system, system_from_loops,
-                      track_flex, track_to, vertex_loop)
+from rigidori import (build_system, classify, compose_forest, correct_batch,
+                      loop_flex_path, residual, single_loop_system,
+                      system_from_loops, track_flex, track_to, vertex_loop)
 from rigidori.errors import (NonGenericIntersection, NotAFlex, NotForest,
                              NotOnVariety)
 from rigidori import patterns
@@ -221,3 +221,38 @@ def test_track_flex_stops_when_ring_flex_is_blocked():
     assert path.termination in ("flex-lost", "branch-point", "corrector-diverged")
     assert len(path) <= 5
     assert max(path.residuals) <= 1e-9
+
+
+BATCH_CASES = {"pentagon_ring": patterns.pentagon_ring,
+               "square_ring": patterns.square_ring,
+               "sheared_grid_3x3": lambda: patterns.sheared_grid(3, 3)}
+
+
+@pytest.mark.parametrize("make", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+def test_correct_batch_matches_batches_of_one(make):
+    system = build_system(make())
+    rng = np.random.default_rng(41)
+    # near starts first, then starts that stall or leave the box
+    starts = np.vstack([rng.normal(scale=s, size=(8, system.n_vars))
+                        for s in (0.01, 0.3, 1.0)])
+    out = correct_batch(system, starts, max_iter=40)
+    for x, y in zip(starts, out):
+        assert correct_batch(system, x[None], max_iter=40)[0].tobytes() == y.tobytes()
+    for y in out[:8]:
+        assert residual(system, y).max_norm <= 1e-9
+
+
+@pytest.mark.parametrize("make", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+def test_correct_batch_leaves_inactive_states_alone(make):
+    system = build_system(make())
+    rng = np.random.default_rng(43)
+    flat = np.zeros(system.n_vars)     # solved: its first step is exactly zero
+    far = rng.uniform(-3.0, 3.0, (6, system.n_vars))
+    batch = np.vstack([far[:3], flat, far[3:]])
+    runs = [correct_batch(system, batch, max_iter=m) for m in range(1, 26)]
+    assert all(run[3].tobytes() == flat.tobytes() for run in runs)
+    assert not np.array_equal(np.delete(runs[-1], 3, axis=0), far)
+    # a state unchanged by one more iteration never changes again
+    for prev, cur in zip(runs, runs[1:]):
+        done = (prev == cur).all(axis=1)
+        assert (cur[done] == runs[-1][done]).all()

@@ -1,4 +1,4 @@
-"""Compare the kernel, contact, genericity, tracking and validation outputs of two rigidori trees.
+"""Compare the kernel, contact, genericity, tracking, single-vertex and validation outputs of two rigidori trees.
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC [--tol 1e-12]
 
@@ -62,6 +62,13 @@ picks the starts and directions.  Samples must agree within 1e-9 (the
 tracker may take its steps from a different but equivalent linear solve);
 residuals within ``--tol``; the termination, the sample count, the
 predictor lengths and the corrector iterations must match exactly.
+
+Both runs also record the ordered list of ``explore_vertex`` roots on 40
+seeded degree-3 triples drawn as the benchmark's ``generic-batch`` workload
+draws them (each sector angle uniform in (0.05, 2 pi - 0.05)), on 10 seeded
+degree-4 tuples drawn the same way, and on the cube corner (pi/2)*3 and the
+flat cross (pi/2)*4.  The OLD run draws the angles.  The roots must be equal
+bit for bit, in the same order and with the same duplicates.
 
 Both runs also record ``validate_pattern`` on perturbed copies of the
 fixtures: 150 per fixture for each of three perturbations, which move one
@@ -128,6 +135,7 @@ def dump(out: str, states_from: str | None) -> None:
     dump_generic(data)
     dump_packing(data)
     dump_tracks(data, given)
+    dump_explore(data, given)
     dump_validate(data, given)
     np.savez(out, **data)
 
@@ -348,6 +356,23 @@ def dump_tracks(data: dict, given) -> None:
             "corrector_iterations": [int(i) for i in path.corrector_iterations]}))
 
 
+def dump_explore(data: dict, given) -> None:
+    import rigidori as ro
+
+    rng = np.random.default_rng(29)
+    cases = {f"triple{i}": (3,) for i in range(40)}
+    cases.update({f"quad{i}": (4,) for i in range(10)})
+    cases.update({"cube_corner": [math.pi / 2] * 3, "flat_cross": [math.pi / 2] * 4})
+    for name, alphas in cases.items():
+        if given is not None:
+            alphas = given[f"explore/{name}/alphas"]
+        elif isinstance(alphas, tuple):
+            alphas = rng.uniform(0.05, 2 * math.pi - 0.05, alphas)
+        roots = ro.explore_vertex(alphas)
+        data[f"explore/{name}/alphas"] = np.asarray(alphas, dtype=float)
+        data[f"explore/{name}/roots"] = np.array(roots).reshape(len(roots), len(alphas))
+
+
 def perturbed(pat, kind: str, rng) -> np.ndarray:
     """The vertex array with one vertex moved (by 1e-10 to 0.5 of the median
     crease length), snapped onto a crease (half of them then moved by up to
@@ -507,6 +532,14 @@ def main() -> int:
                     crashes += same and "crash" in str(a[key])
                 else:
                     same = bool(a[key] == b[key]) and "INVALID" not in str(b[key])
+                tally = reports.setdefault(what, [0, 0])
+                tally[0] += same
+                tally[1] += 1
+                if not same:
+                    print(f"{key} differs:\n  old {a[key]}\n  new {b[key]}")
+                continue
+            if name == "explore" and rest[1] == "roots":
+                same = a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes()
                 tally = reports.setdefault(what, [0, 0])
                 tally[0] += same
                 tally[1] += 1
