@@ -1,8 +1,8 @@
 """Tangent-space rigidity analysis: Jacobian, DOF, flexes, self-stresses.
 
 :func:`jacobian` differentiates one state or a batch of states; the
-batched corrector ``tracking.correct_batch`` reads the residual scalars and
-the Jacobian of a batch together from ``_linearise``.
+correctors of ``tracking`` read the residual scalars, the loop deviations and
+the Jacobian together from one ``_linearise`` pass.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (RESIDUAL_TOL, ConstraintSystem, build_system,
-                          chain_products, loop_scalars, residual)
+from .constraints import (RESIDUAL_TOL, ConstraintSystem, build_system, chain_products,
+                          loop_deviation, loop_scalars, residual)
 from .errors import NotAFlex, NotDevelopable, NotOnVariety
 from .kinematics import TransferChain, _tree, _walk
 from .model import TWO_PI, CreasePattern
@@ -30,21 +30,23 @@ def jacobian(system: ConstraintSystem, rho) -> np.ndarray:
     Columns of creases appearing in no loop are identically zero; such
     creases fold freely.
     """
-    return _linearise(system, rho)[1]
+    return _linearise(system, rho)[2]
 
 
 def _linearise(system: ConstraintSystem, rho):
-    """Stacked loop residual scalars (..., 3i+6h) and their Jacobian, from
-    one :func:`chain_products` call per loop group."""
+    """Stacked loop residual scalars (..., 3i+6h), loop deviations (..., loops)
+    and the Jacobian, from one :func:`chain_products` call per loop group."""
     rho = np.asarray(rho, dtype=float)
     vec = np.zeros(rho.shape[:-1] + (system.residual_dim,))
+    dev = np.zeros(rho.shape[:-1] + (len(system.loops),))
     J = np.zeros(rho.shape[:-1] + (system.residual_dim, system.n_vars))
-    for kind, _, rows, betas, offsets, vars_ in system.groups:
+    for kind, index, rows, betas, offsets, vars_ in system.groups:
         T, D, _ = chain_products(betas, offsets, vars_, rho, derivatives=True)
         vec[..., rows] = loop_scalars(T, kind)
+        dev[..., index] = loop_deviation(T, kind)
         # a crease crossed twice by one loop adds both derivatives
         np.add.at(J, (..., rows[:, None, :], vars_[:, :, None]), loop_scalars(D, kind))
-    return vec, J
+    return vec, dev, J
 
 
 def _rank_split(J: np.ndarray, rel_tol: float = RANK_REL_TOL):

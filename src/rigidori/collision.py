@@ -6,10 +6,10 @@ configuration space.  Panels are ear-clipped into triangles once per pattern
 (in reference coordinates, see ``panel_triangles``); ``check_state`` then
 runs three array stages over the folded triangles:
 
-* broad phase: every panel's 3-d box, and of the non-adjacent pairs only
-  those whose boxes overlap go on (Cohen, Lin, Manocha & Ponamgi,
-  "I-COLLIDE", 1995); adjacent panels are skipped entirely, their hinge and
-  their +-pi stacking being encoded by the folding angle itself;
+* broad phase: the sort and sweep of validation (``model._box_pairs``) on
+  every panel's 3-d box finds the pairs whose boxes overlap; adjacent pairs
+  are dropped by key, their hinge and their +-pi stacking being encoded by
+  the folding angle itself;
 * crossing: Moller's interval test ("A fast triangle-triangle intersection
   test", 1997) on every triangle pair of the non-coplanar panel pairs at
   once.  Separations below ``eps`` count as contact, never as crossing,
@@ -31,7 +31,7 @@ import numpy as np
 from .constraints import RESIDUAL_TOL, ConstraintSystem, build_system, residual
 from .errors import NotOnVariety
 from .kinematics import fold_mesh
-from .model import CreasePattern
+from .model import CreasePattern, _box_pairs
 
 EPS_CONTACT = 1e-9
 EPS_AREA = 1e-10
@@ -80,7 +80,7 @@ def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class PanelTriangles:
-    """Ear-clipped panels and the index arrays of the batched pair tests.
+    """Ear-clipped panels, index arrays of the batched pair tests, adjacent pair keys.
 
     Vertex indices address the ``fold_mesh`` polygons concatenated in panel
     order; the triangles of panel ``p`` are rows ``first[p]`` to
@@ -93,11 +93,11 @@ class PanelTriangles:
     count: np.ndarray     # (P,) triangles per panel
     ring: np.ndarray      # (P, L) polygon vertices, padded with the first vertex
     size: np.ndarray      # (P,) polygon vertex counts
-    pairs: np.ndarray     # (M, 2) non-adjacent panel pairs a < b, lexicographic
+    adjacent: np.ndarray  # sorted keys a * P + b of the adjacent panel pairs, a < b
 
 
 def panel_triangles(pattern: CreasePattern) -> PanelTriangles:
-    """Triangles and non-adjacent panel pairs of a pattern, built once per pattern."""
+    """Triangles and adjacent-pair keys of a pattern, built once per pattern."""
     if pattern._panel_triangles is None:
         pattern._panel_triangles = _triangulate(pattern)
     return pattern._panel_triangles
@@ -118,13 +118,10 @@ def _triangulate(pattern: CreasePattern) -> PanelTriangles:
                + np.repeat(start, count)[:, None])
     slot = np.arange(size.max())
     ring = start[:, None] + np.where(slot < size[:, None], slot, 0)
-    adjacent = np.zeros((n, n), dtype=bool)
-    for p, adj in enumerate(pattern.panel_adjacency):
-        adjacent[p, [q for q, _ in adj]] = True
-    a, b = np.triu_indices(n, 1)
-    apart = ~adjacent[a, b]
+    adjacent = np.array(sorted({p * n + q for p, adj in enumerate(pattern.panel_adjacency)
+                                for q, _ in adj if p < q}), dtype=np.intp)
     return PanelTriangles(local, corners, np.cumsum(count) - count, count, ring,
-                          size, np.stack([a[apart], b[apart]], axis=1))
+                          size, adjacent)
 
 
 # -- batched pair tests ------------------------------------------------------
@@ -345,11 +342,10 @@ def check_state(pattern: CreasePattern, rho, lambda_pairs=None, rho0=None,
 
     # Broad phase.  Coplanar panels lie within 10 eps of each other's planes,
     # so boxes padded by 10 eps prune no pair that could overlap or cross.
-    pad = 10 * eps
-    lo, hi = ring.min(axis=1) - pad, ring.max(axis=1) + pad
-    a, b = tri.pairs.T
-    near = np.all((lo[a] <= hi[b]) & (lo[b] <= hi[a]), axis=1)
-    a, b = a[near], b[near]
+    # Sorted keys a * P + b give the pairs in lexicographic order.
+    a, b = _box_pairs(ring.min(axis=1) - 10 * eps, ring.max(axis=1) + 10 * eps)
+    key = np.sort(a * len(tri.size) + b)
+    a, b = np.divmod(key[~np.isin(key, tri.adjacent, assume_unique=True)], len(tri.size))
 
     def spread(p, q):
         """Largest distance of q's vertices from p's plane, pair by pair."""

@@ -276,15 +276,16 @@ def _crossing(p1, p2, q1, q2, eps=1e-12) -> np.ndarray:
 
 
 def _box_pairs(lo, hi):
-    """Index pairs (a, b), a < b, of the overlapping boxes [lo, hi]: in order
-    of low x, box k meets in x the boxes after it that start by its high x
+    """Index pairs (a, b), a < b, in sweep order, of the overlapping closed
+    boxes [lo, hi] of shape (N, d): in order of low x, box k meets in x the
+    boxes after it that start by its high x, tested then on the other axes
     (sort and sweep, Cohen, Lin, Manocha & Ponamgi, "I-COLLIDE", 1995)."""
     order = np.argsort(lo[:, 0], kind="stable")
     k = np.arange(len(order))
     count = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - k - 1
     second = np.arange(count.sum()) + np.repeat(k + 1 - np.cumsum(count) + count, count)
     a, b = order[np.repeat(k, count)], order[second]
-    near = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    near = np.all((lo[a, 1:] <= hi[b, 1:]) & (lo[b, 1:] <= hi[a, 1:]), axis=1)
     return np.minimum(a, b)[near], np.maximum(a, b)[near]
 
 

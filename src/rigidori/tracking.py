@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import RANK_REL_TOL, _linearise, _rank_split, jacobian
-from .constraints import (RESIDUAL_TOL, ConstraintSystem, Loop, residual)
+from .constraints import RESIDUAL_TOL, ConstraintSystem, Loop, Residual, residual
 from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
                      NotForest, NotOnVariety)
 
@@ -94,32 +94,35 @@ def gauss_newton_correct(system: ConstraintSystem, rho,
     return _correct(system, rho, tol, max_iter)[:3]
 
 
+def _linear_residual(system, rho):
+    """The residual at ``rho`` and the Jacobian there, from one ``_linearise`` pass."""
+    vec, dev, J = _linearise(system, rho)
+    return Residual(vec, dev, float(dev.max(initial=0.0))), J
+
+
 def _correct(system, rho, tol=CORRECTOR_TOL, max_iter=MAX_CORRECTOR_ITER,
              rows=None, rank_tol=RANK_REL_TOL):
     """:func:`gauss_newton_correct` that also returns the residual at its
-    rho (None after a step longer than 2 pi) and whether every step came
-    from the row factor of ``rows`` (see :func:`_row_solve`).  Without
-    ``rows``, or at an iterate where the rows do not certify, the step is
-    the least-squares one."""
+    rho (None after a step longer than 2 pi), whether every step came from
+    the row factor of ``rows`` (see :func:`_row_solve`) and the Jacobian at
+    its rho (None with the residual).  Without ``rows``, or at an iterate
+    where the rows do not certify, the step is the least-squares one."""
     rho = np.asarray(rho, dtype=float).copy()
     certified = rows is not None
-    for it in range(max_iter):
-        res = residual(system, rho)
-        if res.max_norm <= tol:
-            return rho, it, True, res, certified
-        J = jacobian(system, rho)
+    for it in range(max_iter + 1):
+        res, J = _linear_residual(system, rho)
+        if res.max_norm <= tol or it == max_iter:
+            return rho, it, res.max_norm <= tol, res, certified, J
         step = None if rows is None else _row_solve(J, rows, rank_tol,
                                                     -res.vector[rows])
         if step is None:
             certified = False
             step, *_ = np.linalg.lstsq(J, -res.vector, rcond=1e-12)
         if not np.all(np.isfinite(step)):
-            return rho, it, False, res, certified
+            return rho, it, False, res, certified, J
         rho = rho + step
         if np.abs(step).max() > 2.0 * math.pi:
-            return rho, it + 1, False, None, certified
-    res = residual(system, rho)
-    return rho, max_iter, res.max_norm <= tol, res, certified
+            return rho, it + 1, False, None, certified, None
 
 
 def correct_batch(system: ConstraintSystem, states,
@@ -141,7 +144,7 @@ def correct_batch(system: ConstraintSystem, states,
         if not len(live):
             break
         X = R[live]
-        res, J = _linearise(system, X)
+        res, _, J = _linearise(system, X)
         lam = np.linalg.solve(J @ J.transpose(0, 2, 1) + reg, -res[..., None])
         dx = (J.transpose(0, 2, 1) @ lam)[..., 0]
         X += dx
@@ -227,7 +230,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
     :class:`NotAFlex` or :class:`CorrectorDiverged`.
     """
     rho = np.asarray(rho0, dtype=float).copy()
-    res0 = residual(system, rho)
+    res0, J = _linear_residual(system, rho)
     if not res0.satisfied(residual_tol):
         raise NotOnVariety(f"start residual {res0.max_norm:.3e}")
     direction = np.asarray(direction, dtype=float).copy()
@@ -235,7 +238,6 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
     if nrm == 0.0:
         raise NotAFlex("zero direction")
     direction /= nrm
-    J = jacobian(system, rho)
     if J.size and float(np.abs(J @ direction).max()) > flex_tol:
         raise NotAFlex(f"J . direction = {np.abs(J @ direction).max():.3e}")
 
@@ -254,13 +256,13 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
         certified = True
         while h >= step_size / 64.0:
             pred = rho + h * tangent
-            cand, iters, ok, res, on_rows = _correct(system, pred, corrector_tol,
-                                                     rows=rows, rank_tol=rank_tol)
+            cand, iters, ok, res, on_rows, J = _correct(system, pred, corrector_tol,
+                                                        rows=rows, rank_tol=rank_tol)
             certified = certified and on_rows
             if (ok and res.max_norm <= residual_tol
                     and float(np.abs(cand - rho).max()) <= 3.0 * h):
                 # the continuity bound rejects correctors that jumped branches
-                accepted = (cand, iters, h, res.max_norm)
+                accepted = (cand, iters, h, res.max_norm, J)
                 break
             h *= 0.5
         if accepted is None:
@@ -269,7 +271,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
             err.path = FoldPath(np.array(samples), residuals, "corrector-diverged",
                                 pred_lengths, corr_iters)
             raise err
-        cand, iters, h, cand_norm = accepted
+        cand, iters, h, cand_norm, J = accepted
 
         if float(np.abs(cand).max()) >= math.pi - 1e-12:
             samples.append(cand)
@@ -279,7 +281,6 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
             termination = "angle-bound"
             break
 
-        J = jacobian(system, cand)
         normal = (_row_solve(J, rows, rank_tol, J[rows] @ tangent) if certified
                   else None)
         if normal is None:
@@ -361,7 +362,7 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
             u = proj / pnorm
             h = min(step_size, float(np.linalg.norm(diff)))
             while h >= step_size / 64.0:
-                cand, _, ok, res, _ = _correct(system, rho + h * u, corrector_tol)
+                cand, _, ok, res, *_ = _correct(system, rho + h * u, corrector_tol)
                 if (ok and res.max_norm <= residual_tol
                         and float(np.abs(cand).max()) <= math.pi + 1e-9):
                     rho = cand
@@ -406,7 +407,7 @@ def _hop_toward(system, rho, target, step_size, corrector_tol,
     u = diff / nrm
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
         h = min(step_size * scale, nrm)
-        cand, _, ok, res, _ = _correct(system, rho + h * u, corrector_tol)
+        cand, _, ok, res, *_ = _correct(system, rho + h * u, corrector_tol)
         if not ok or res.max_norm > residual_tol:
             continue
         if float(np.abs(cand).max()) > math.pi + 1e-9:
@@ -585,7 +586,7 @@ def compose_forest(system: ConstraintSystem, rho, per_loop_paths: dict[int, Fold
     polished = []
     residuals = []
     for row in kept:
-        cand, _, ok, r, _ = _correct(system, row, corrector_tol)
+        cand, _, ok, r, *_ = _correct(system, row, corrector_tol)
         if not ok or not r.satisfied(residual_tol):
             raise CorrectorDiverged("composed sample failed to polish")
         polished.append(cand)

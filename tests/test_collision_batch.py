@@ -326,6 +326,10 @@ def test_panel_triangles_built_once_per_pattern():
     tri = panel_triangles(pat)
     assert panel_triangles(pat) is tri
     assert tri.corners.shape == (2 * len(pat.panels), 3)
-    assert len(tri.pairs) == 36 - sum(len(a) for a in pat.panel_adjacency) // 2
+    # the twelve shared edges of the 3x3 grid, as sorted keys a * P + b, a < b
+    keys = sorted({min(p, q) * 9 + max(p, q) for p, adj in enumerate(pat.panel_adjacency)
+                   for q, _ in adj})
+    assert len(keys) == 12
+    assert tri.adjacent.tolist() == keys
     pat._derive()
     assert panel_triangles(pat) is not tri

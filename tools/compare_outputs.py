@@ -24,8 +24,10 @@ exceeds ``--tol``, or 1e-14 for the angular velocities.
 
 Both runs also record ``check_state`` reports: on every request the
 benchmark's ``contact`` workload can make (each line fold of the 8x8 grid in
-both line orders and each Miura state, all with their mirrors) and on one
-line fold of ``sheared_grid(16, 16)``, on the strip of five squares folded
+both line orders and each Miura state, all with their mirrors), on one
+line fold of ``sheared_grid(16, 16)``, on ``sheared_grid(32, 32)`` (1,024
+panels) flat and with its lines folded by the benchmark's line folds in
+turn, on the strip of five squares folded
 flat, whose stacks hold three panels, and on the test fixtures of
 ``rigidori.patterns`` at their flat state, at every crease folded to +pi or
 -pi and at seeded random angles (off the variety, so their residual is not
@@ -447,6 +449,7 @@ def dump_contact(data: dict, given) -> None:
 
     cases = {"contact8": patterns.sheared_grid(8, 8, shear=SHEAR),
              "contact16": patterns.sheared_grid(16, 16, shear=SHEAR),
+             "contact32": patterns.sheared_grid(32, 32, shear=SHEAR),
              "strip5": patterns.sheared_grid(5, 1, shear=0.0)}
     cases.update({f"fixture_{k}": v for k, v in fixtures().items()})
     rng = np.random.default_rng(11)
@@ -463,6 +466,8 @@ def dump_contact(data: dict, given) -> None:
             states = np.array([sign * rho for rho in base for sign in (1, -1)])
         elif name == "contact16":
             states = line_fold(pat, LINE_FOLDS[3] + LINE_FOLDS[4] + (0.0,))[None]
+        elif name == "contact32":
+            states = np.array([np.zeros(pat.n_vars), line_fold(pat, sum(LINE_FOLDS, ()))])
         elif name == "strip5":
             states = np.array([np.full(pat.n_vars, sign * math.pi) for sign in (1, -1)])
         else:
