@@ -1,8 +1,8 @@
 """Tangent-space rigidity analysis: Jacobian, DOF, flexes, self-stresses.
 
-:func:`jacobian` differentiates one state or a batch of states; the
-correctors of ``tracking`` read the residual scalars, the loop deviations and
-the Jacobian together from one ``_linearise`` pass.
+:func:`jacobian` differentiates one state or a batch of states; ``classify``
+and the correctors of ``tracking`` read the residual scalars, the loop
+deviations and the Jacobian together from one ``_linearise`` pass.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (RESIDUAL_TOL, ConstraintSystem, build_system, chain_products,
-                          loop_deviation, loop_scalars, residual)
+from .constraints import (RESIDUAL_TOL, ConstraintSystem, Residual, build_system,
+                          chain_products, loop_deviation, loop_scalars, residual)
 from .errors import NotAFlex, NotDevelopable, NotOnVariety
 from .kinematics import TransferChain, _tree, _walk
 from .model import TWO_PI, CreasePattern
@@ -47,6 +47,12 @@ def _linearise(system: ConstraintSystem, rho):
         # a crease crossed twice by one loop adds both derivatives
         np.add.at(J, (..., rows[:, None, :], vars_[:, :, None]), loop_scalars(D, kind))
     return vec, dev, J
+
+
+def _linear_residual(system: ConstraintSystem, rho):
+    """The residual at ``rho`` and the Jacobian there, from one ``_linearise`` pass."""
+    vec, dev, J = _linearise(system, rho)
+    return Residual(vec, dev, float(dev.max(initial=0.0))), J
 
 
 def _rank_split(J: np.ndarray, rel_tol: float = RANK_REL_TOL):
@@ -86,11 +92,9 @@ def classify(system: ConstraintSystem, rho, residual_tol: float = RESIDUAL_TOL,
 
     Raises :class:`NotOnVariety` when the residual exceeds ``residual_tol``.
     """
-    rho = np.asarray(rho, dtype=float)
-    res = residual(system, rho)
+    res, J = _linear_residual(system, rho)
     if not res.satisfied(residual_tol):
         raise NotOnVariety(f"residual max-norm {res.max_norm:.3e} > {residual_tol:.1e}")
-    J = jacobian(system, rho)
     m, n = J.shape
     rank, flex, stress = _rank_split(J, rank_tol)
     deg = n - rank

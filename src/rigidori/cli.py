@@ -34,10 +34,10 @@ EXIT_LOCKED = 4
 
 @dataclass
 class RunConfig:
-    residual_tol: float = 1e-9
-    rank_tol: float = 1e-8
-    step_size: float = math.pi / 200
-    corrector_tol: float = 1e-11
+    residual_tol: float = constraints.RESIDUAL_TOL
+    rank_tol: float = analysis.RANK_REL_TOL
+    step_size: float = tracking.DEFAULT_STEP
+    corrector_tol: float = tracking.CORRECTOR_TOL
     max_steps: int = 100
     degrees: bool = False
 
@@ -110,6 +110,20 @@ def write_obj(pattern, mesh, path, comments=()):
     Path(path).write_text("\n".join(lines + face_lines) + "\n", encoding="utf-8")
 
 
+def _write_frame(pattern, rho, residual_norm, path):
+    write_obj(pattern, fold_mesh(pattern, rho), path,
+              comments=[f"rho {list(map(float, rho))}", f"residual {residual_norm!r}"])
+
+
+def _write_frames(pattern, samples, residuals, out) -> Path:
+    """``frame_0000.obj``, ... in the directory ``out``, one per sample."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for k, (rho, residual_norm) in enumerate(zip(samples, residuals)):
+        _write_frame(pattern, rho, residual_norm, out / f"frame_{k:04d}.obj")
+    return out
+
+
 # -- commands -----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
@@ -172,13 +186,7 @@ def cmd_track(args) -> int:
     }
     _emit(payload, args.json_out)
     if args.obj_dir:
-        out = Path(args.obj_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for k, s in enumerate(path.samples):
-            mesh = fold_mesh(pattern, s)
-            write_obj(pattern, mesh, out / f"frame_{k:04d}.obj",
-                      comments=[f"rho {list(map(float, s))}",
-                                f"residual {path.residuals[k]!r}"])
+        _write_frames(pattern, path.samples, path.residuals, args.obj_dir)
     return EXIT_OK
 
 
@@ -189,22 +197,12 @@ def cmd_export_obj(args) -> int:
     if args.path:
         samples = [np.asarray(s, dtype=float)
                    for s in json.loads(Path(args.path).read_text(encoding="utf-8"))["samples"]]
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for k, s in enumerate(samples):
-            res = constraints.residual(system, s)
-            mesh = fold_mesh(pattern, s)
-            write_obj(pattern, mesh, out / f"frame_{k:04d}.obj",
-                      comments=[f"rho {list(map(float, s))}",
-                                f"residual {res.max_norm!r}"])
+        out = _write_frames(pattern, samples, (constraints.residual(system, s).max_norm
+                                               for s in samples), args.out)
         _emit({"frames": len(samples), "dir": str(out)})
         return EXIT_OK
     rho = _rho_for(pattern, args, cfg)
-    res = constraints.residual(system, rho)
-    mesh = fold_mesh(pattern, rho)
-    write_obj(pattern, mesh, args.out,
-              comments=[f"rho {list(map(float, rho))}",
-                        f"residual {res.max_norm!r}"])
+    _write_frame(pattern, rho, constraints.residual(system, rho).max_norm, args.out)
     _emit({"frames": 1, "file": args.out})
     return EXIT_OK
 
@@ -239,9 +237,7 @@ def cmd_solve_vertex(args) -> int:
     if len(alphas) <= 2:
         result = singlevertex.solve_degree_1_2(alphas)
         payload["cases"] = result.cases
-        payload["points"] = [[float(x) for x in p] for p in result.solutions.points]
-        payload["families"] = [{"pair": list(f.pair), "zeros": list(f.zeros)}
-                               for f in result.solutions.families]
+        solutions = result.solutions
     else:
         case = singlevertex.classify_vertex(alphas)
         payload["tag"] = case.tag
@@ -250,10 +246,11 @@ def cmd_solve_vertex(args) -> int:
                 [list(x) if isinstance(x, (tuple, list)) else x for x in v])
             for k, v in case.detail.items()
         }
-        if case.solutions is not None:
-            payload["points"] = [[float(x) for x in p] for p in case.solutions.points]
-            payload["families"] = [{"pair": list(f.pair), "zeros": list(f.zeros)}
-                                   for f in case.solutions.families]
+        solutions = case.solutions
+    if solutions is not None:
+        payload["points"] = [[float(x) for x in p] for p in solutions.points]
+        payload["families"] = [{"pair": list(f.pair), "zeros": list(f.zeros)}
+                               for f in solutions.families]
     _emit(payload, args.json_out)
     return EXIT_OK
 

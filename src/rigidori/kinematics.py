@@ -360,11 +360,9 @@ def fold_point(pattern: CreasePattern, rho, rho0, point, panel: int | None = Non
             raise PointOutsidePanel(f"point {point} lies in no panel")
     elif not pattern.is_cone and not _point_in_panel(pattern, point, panel):
         raise PointOutsidePanel(f"point {point} not in closure of panel {panel}")
-    if chains is None:
-        T = _placements(_tree(pattern), rho, rho0)[panel]
-    else:
-        T = placement(chains[panel], rho, rho0)
-    return (T @ _lift(point))[:3]
+    chain = (TransferChain(panel, _tree(pattern).paths[panel]) if chains is None
+             else chains[panel])
+    return (placement(chain, rho, rho0) @ _lift(point))[:3]
 
 
 def fold_mesh(pattern: CreasePattern, rho, rho0=None,

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import RANK_REL_TOL, _linearise, _rank_split, jacobian
-from .constraints import RESIDUAL_TOL, ConstraintSystem, Loop, Residual, residual
+from .analysis import RANK_REL_TOL, _linear_residual, _linearise, _rank_split, jacobian
+from .constraints import RESIDUAL_TOL, ConstraintSystem, Loop, residual
 from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
                      NotForest, NotOnVariety)
 
@@ -92,12 +92,6 @@ def gauss_newton_correct(system: ConstraintSystem, rho,
     converged).
     """
     return _correct(system, rho, tol, max_iter)[:3]
-
-
-def _linear_residual(system, rho):
-    """The residual at ``rho`` and the Jacobian there, from one ``_linearise`` pass."""
-    vec, dev, J = _linearise(system, rho)
-    return Residual(vec, dev, float(dev.max(initial=0.0))), J
 
 
 def _correct(system, rho, tol=CORRECTOR_TOL, max_iter=MAX_CORRECTOR_ITER,
@@ -337,13 +331,13 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
     """
     rho = np.asarray(rho_start, dtype=float).copy()
     target = np.asarray(rho_target, dtype=float)
-    for name, state in (("start", rho), ("target", target)):
-        r = residual(system, state)
+    start = residual(system, rho)
+    for name, r in (("start", start), ("target", residual(system, target))):
         if not r.satisfied(residual_tol):
             raise NotOnVariety(f"{name} residual {r.max_norm:.3e}")
 
     samples = [rho.copy()]
-    residuals = [residual(system, rho).max_norm]
+    residuals = [start.max_norm]
     termination = "stalled"
     best_dist = float(np.linalg.norm(rho - target))
     no_progress = 0

@@ -137,6 +137,23 @@ def test_export_obj_path_frames(tmp_path, fig2_file, capsys):
         f"frame_{k:04d}.obj" for k in range(6)]
 
 
+def test_track_frames_equal_export_obj_frames(tmp_path, fig2_file, capsys):
+    pj, tracked, exported = (tmp_path / "path.json", tmp_path / "track",
+                             tmp_path / "export")
+    code, _ = run_cli(capsys, "--max-steps", "8", "track", fig2_file, "--rho",
+                      "0.4,0,0.4,0", "--direction=1,0,1,0", "--json-out", str(pj),
+                      "--obj-dir", str(tracked))
+    assert code == 0
+    code, _ = run_cli(capsys, "export-obj", fig2_file, "--path", str(pj),
+                      "--out", str(exported))
+    assert code == 0
+    names = sorted(p.name for p in tracked.iterdir())
+    assert names == [f"frame_{k:04d}.obj" for k in range(9)]
+    assert sorted(p.name for p in exported.iterdir()) == names
+    for name in names:
+        assert (tracked / name).read_bytes() == (exported / name).read_bytes()
+
+
 def test_generic_command(tmp_path, capsys):
     f = tmp_path / "grid.json"
     save_pattern(patterns.sheared_grid(2, 2, shear=0.0), f)

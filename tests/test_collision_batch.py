@@ -3,7 +3,8 @@
 The scalar functions below are the per-pair triangle tests that
 ``check_state`` ran one pair at a time before its narrow phase was batched:
 Moller's interval test with an ``eps`` contact band, and Sutherland-Hodgman
-clipping of coplanar triangles.  They are kept here as the oracle.
+clipping of coplanar triangles, whose overlap counted when its area exceeded
+``EPS_AREA``.  They are kept here as the oracle.
 """
 
 import math
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 
 from rigidori import check_state, patterns, validate_pattern
-from rigidori.collision import (EPS_AREA, EPS_CONTACT, _crossing_flags,
-                                _overlap_areas, _tri_planes, ear_clip,
+from rigidori.collision import (EPS_CONTACT, PanelTriangles, _coplanar_overlaps,
+                                _crossing_flags, _tri_planes, ear_clip,
                                 panel_triangles)
 from rigidori.kinematics import fold_mesh
 from rigidori.model import CreasePattern
 
+EPS_AREA = 1e-10   # the overlap area above which the oracle reports a slot
 
 
 # -- scalar oracle -----------------------------------------------------------
@@ -271,35 +273,57 @@ def test_crossing_flags_match_scalar_test():
     assert 0 < want.sum() < len(want)   # the fixtures hold both outcomes
 
 
-def test_overlap_areas_match_scalar_clip():
-    pairs = _triangle_pairs_2d()
-    got = _overlap_areas(np.array([a for a, _ in pairs]),
-                         np.array([b for _, b in pairs]))
-    want = np.array([_tri_overlap_area(a, b) for a, b in pairs])
-    # same operations in the same order as the scalar clip, so bit for bit
+def _overlaps_2d(pairs):
+    """``_coplanar_overlaps`` on 2-d triangle pairs, each triangle one panel
+    lifted to z = 0."""
+    tris = np.array([t for pair in pairs for t in pair]).reshape(-1, 3, 2)
+    verts = np.column_stack([tris.reshape(-1, 2), np.zeros(3 * len(tris))])
+    n = len(tris)
+    tri = PanelTriangles(None, np.arange(3 * n).reshape(n, 3), np.arange(n),
+                         np.ones(n, dtype=np.intp), None, None, None)
+    normal = np.tile((0.0, 0.0, 1.0), (n, 1))
+    return _coplanar_overlaps(verts, tri, np.arange(0, n, 2), np.arange(1, n, 2),
+                              normal, EPS_CONTACT)
+
+
+@pytest.mark.parametrize("seed", [12, 13, 14, 15, 16, 17])
+def test_coplanar_overlaps_match_scalar_clip(seed):
+    pairs = _triangle_pairs_2d(seed)
+    got = _overlaps_2d(pairs)
+    want = np.array([_tri_overlap_area(a, b) > EPS_AREA for a, b in pairs])
     assert got.tolist() == want.tolist()
-    assert (want > EPS_AREA).any() and (want == 0.0).any()
+    assert 0 < want.sum() < len(want)   # the fixtures hold both outcomes
 
 
-def test_overlap_areas_of_no_pairs():
-    assert _overlap_areas(np.zeros((0, 3, 2)), np.zeros((0, 3, 2))).shape == (0,)
+def test_coplanar_overlaps_of_no_pairs():
+    assert _overlaps_2d([]).shape == (0,)
 
 
 @pytest.mark.parametrize("folds, verdict", [
     ((math.pi, math.pi, math.pi), "ordered"),
     ((1.0, -math.pi, math.pi), "ordered"),
     ((2.0, 2.0, 2.0), "crossing"),
+    # flat-folded stacks: every crease at +pi (its mirror at -pi), and every
+    # crease at +-pi with seeded signs; each vertex satisfies Kawasaki's
+    # condition, so these states lie on the variety
+    ("all", "ordered"),
+    ("seeded", "ordered"),
 ])
 def test_check_state_matches_scalar_loop(folds, verdict):
     pat = patterns.sheared_grid(4, 4, shear=0.3)
-    rows: dict[float, list[int]] = {}
-    for k, ci in enumerate(pat.inner_creases):
-        c = pat.creases[ci]
-        if pat.vertices[c.u][1] == pat.vertices[c.v][1]:
-            rows.setdefault(float(pat.vertices[c.u][1]), []).append(k)
-    rho = np.zeros(pat.n_vars)
-    for y, angle in zip(sorted(rows), folds):
-        rho[rows[y]] = angle
+    if folds == "all":
+        rho = np.full(pat.n_vars, math.pi)
+    elif folds == "seeded":
+        rho = math.pi * np.random.default_rng(5).choice([-1.0, 1.0], pat.n_vars)
+    else:
+        rows: dict[float, list[int]] = {}
+        for k, ci in enumerate(pat.inner_creases):
+            c = pat.creases[ci]
+            if pat.vertices[c.u][1] == pat.vertices[c.v][1]:
+                rows.setdefault(float(pat.vertices[c.u][1]), []).append(k)
+        rho = np.zeros(pat.n_vars)
+        for y, angle in zip(sorted(rows), folds):
+            rho[rows[y]] = angle
     for state in (rho, -rho):
         rep = check_state(pat, state)
         crossing, overlaps = oracle_pairs(pat, state)

@@ -28,7 +28,9 @@ both line orders and each Miura state, all with their mirrors), on one
 line fold of ``sheared_grid(16, 16)``, on ``sheared_grid(32, 32)`` (1,024
 panels) flat and with its lines folded by the benchmark's line folds in
 turn, on the strip of five squares folded
-flat, whose stacks hold three panels, and on the test fixtures of
+flat, whose stacks hold three panels, on ``sheared_grid(8, 8)`` folded flat
+(every crease at +pi, at -pi and at four seeded +-pi sign patterns), the
+densest coplanar stacks, and on the test fixtures of
 ``rigidori.patterns`` at their flat state, at every crease folded to +pi or
 -pi and at seeded random angles (off the variety, so their residual is not
 checked).  Every state is checked without
@@ -450,7 +452,8 @@ def dump_contact(data: dict, given) -> None:
     cases = {"contact8": patterns.sheared_grid(8, 8, shear=SHEAR),
              "contact16": patterns.sheared_grid(16, 16, shear=SHEAR),
              "contact32": patterns.sheared_grid(32, 32, shear=SHEAR),
-             "strip5": patterns.sheared_grid(5, 1, shear=0.0)}
+             "strip5": patterns.sheared_grid(5, 1, shear=0.0),
+             "stack8": patterns.sheared_grid(8, 8, shear=SHEAR)}
     cases.update({f"fixture_{k}": v for k, v in fixtures().items()})
     rng = np.random.default_rng(11)
     for name, pat in cases.items():
@@ -470,6 +473,11 @@ def dump_contact(data: dict, given) -> None:
             states = np.array([np.zeros(pat.n_vars), line_fold(pat, sum(LINE_FOLDS, ()))])
         elif name == "strip5":
             states = np.array([np.full(pat.n_vars, sign * math.pi) for sign in (1, -1)])
+        elif name == "stack8":
+            signs = np.vstack([np.ones(pat.n_vars), -np.ones(pat.n_vars),
+                               np.random.default_rng(37).choice([-1.0, 1.0],
+                                                                (4, pat.n_vars))])
+            states = math.pi * signs
         else:
             # the flat state, every crease at +-pi, and seeded random states;
             # these need not lie on the variety, so the residual is not checked
