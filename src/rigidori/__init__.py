@@ -1,23 +1,21 @@
 """Rigid origami kinematics, loop-closure constraints, and rigidity analysis."""
 
 from .analysis import (RigidityReport, angular_velocities, classify,
-                       deg_formula_developable, flex_growth_order, jacobian,
-                       numeric_rank)
+                       deg_formula_developable, jacobian)
 from .collision import (ContactReport, FirstContact, check_state, ear_clip,
                         first_contact)
 from .constraints import (ConstraintSystem, Loop, Residual, build_system,
-                          is_flat_state, is_trivial_space, residual,
-                          system_from_loops, vertex_loop)
+                          is_flat_state, residual, system_from_loops,
+                          vertex_loop)
 from .genericity import (GenericRigidityReport, PatternGraph, TreePacking,
                          dual_graph, is_generically_rigid, multigraph,
                          pack_spanning_trees, to_dot, verify_packing)
 from .kinematics import (PanelFrame, TransferChain, build_spanning_tree,
                          chain_for_path, fold_mesh, fold_point, panel_frames,
                          placement, transfer_matrix)
-from .model import (CreasePattern, FoldState, cos_sin_from_normalized,
-                    dumps_pattern, from_normalized, load_pattern,
+from .model import (CreasePattern, FoldState, dumps_pattern, load_pattern,
                     pattern_from_dict, pattern_to_dict, save_pattern,
-                    to_normalized, validate_pattern)
+                    validate_pattern)
 from .singlevertex import (Degree12Result, SingleVertexCase, VertexSolutionSet,
                            classify_vertex, explore_vertex, solve_degree3,
                            solve_degree_1_2)

@@ -7,13 +7,12 @@ deviations and the Jacobian together from one ``_linearise`` pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import (RESIDUAL_TOL, ConstraintSystem, Residual, build_system,
-                          chain_products, loop_deviation, loop_scalars, residual)
+                          chain_products, loop_deviation, loop_scalars)
 from .errors import NotAFlex, NotDevelopable, NotOnVariety
 from .kinematics import TransferChain, _tree, _walk
 from .model import TWO_PI, CreasePattern
@@ -64,10 +63,6 @@ def _rank_split(J: np.ndarray, rel_tol: float = RANK_REL_TOL):
     U, s, Vt = np.linalg.svd(J, full_matrices=True)
     rank = int(np.sum(s > rel_tol * s[0])) if s[0] > 0 else 0
     return rank, Vt[rank:].T, U[:, rank:]
-
-
-def numeric_rank(J: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    return _rank_split(J, rel_tol)[0]
 
 
 @dataclass
@@ -178,23 +173,3 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
     omegas[list(panels)] = omega[tree.leaf]
     return omegas
 
-
-def flex_growth_order(system: ConstraintSystem, rho, direction,
-                      eps: float = 1e-3) -> float:
-    """Heuristic order of residual growth along a first-order flex.
-
-    Fits the exponent p in ||r(rho + eps d)|| ~ eps^p from two step sizes.
-    Values near 2 suggest the flex is blocked at second order; large values
-    (or tiny residuals at both steps) suggest a genuine finite motion.  This
-    is an experimental probe, not a second-order rigidity test.
-    """
-    rho = np.asarray(rho, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    d = d / np.abs(d).max()
-    r1 = residual(system, rho + eps * d).max_norm
-    r2 = residual(system, rho + 2 * eps * d).max_norm
-    if r2 < 1e-14:
-        return math.inf
-    if r1 < 1e-14:
-        return math.inf
-    return math.log(r2 / r1) / math.log(2.0)

@@ -344,42 +344,54 @@ def check_state(pattern: CreasePattern, rho, lambda_pairs=None, rho0=None,
 
 
 def _find_cycles(adj: dict[int, set[int]]) -> list[list[int]]:
-    """Strongly connected components of size > 1 (cyclic stacking orders)."""
+    """Strongly connected components of size > 1 (cyclic stacking orders).
+
+    Tarjan's algorithm, with an explicit stack of (node, successor iterator)
+    frames in place of recursion, so chains of any length fit.
+    """
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
+    calls: list = []
     out: list[list[int]] = []
-    counter = [0]
 
-    def strong(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def visit(v):
+        index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in adj.get(v, ()):
-            if w not in index:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            if len(comp) > 1:
-                out.append(sorted(comp))
+        calls.append((v, iter(adj.get(v, ()))))
 
     nodes = set(adj)
     for vs in adj.values():
         nodes.update(vs)
-    for v in sorted(nodes):
-        if v not in index:
-            strong(v)
+    for root in sorted(nodes):
+        if root in index:
+            continue
+        visit(root)
+        while calls:
+            v, succ = calls[-1]
+            for w in succ:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                calls.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    if len(comp) > 1:
+                        out.append(sorted(comp))
+                if calls:
+                    u = calls[-1][0]
+                    low[u] = min(low[u], low[v])
     return out
 
 

@@ -322,21 +322,3 @@ def is_flat_state(rho, tol: float = 1e-9) -> bool:
         return False
     return bool(np.all(np.abs(np.abs(rho) - math.pi) <= tol))
 
-
-def is_trivial_space(samples, tol: float = 1e-6) -> bool:
-    """Sampled solution set equal to {0} or to a single +-rho pair."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        return True
-    if np.all(np.abs(samples) <= tol):
-        return True
-    reps: list[np.ndarray] = []
-    for s in samples:
-        for r in reps:
-            if np.abs(s - r).max() <= tol or np.abs(s + r).max() <= tol:
-                break
-        else:
-            reps.append(s)
-    if len(reps) != 1:
-        return False
-    return bool(np.abs(reps[0]).max() > tol)

@@ -12,13 +12,12 @@ regions: a vertex partition violating the Nash-Williams/Tutte count.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import Disconnected, RigidOrigamiError
-from .model import CreasePattern
+from .model import CreasePattern, _is_connected
 
 
 @dataclass
@@ -136,24 +135,6 @@ class TreePacking:
                 block[v] = bid
         cross = sum(1 for u, v in edges if block[u] != block[v])
         return cross, self.k * (len(self.partition) - 1)
-
-
-def _is_connected(n: int, edges) -> bool:
-    if n <= 1:
-        return True
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    q = deque([0])
-    while q:
-        x = q.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                q.append(y)
-    return len(seen) == n
 
 
 class _PebbleGame:

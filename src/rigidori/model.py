@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,42 +61,6 @@ class FoldState:
 
     def mirrored(self) -> "FoldState":
         return FoldState(-self.rho, [(a, b, -s) for a, b, s in self.lambda_pairs])
-
-
-def to_normalized(rho) -> np.ndarray:
-    """Half-angle normalization t = tan(rho/2); +-pi maps to +-inf."""
-    rho = np.asarray(rho, dtype=float)
-    t = np.empty_like(rho)
-    at_pi = np.abs(np.abs(rho) - math.pi) < 1e-15
-    t[at_pi] = np.sign(rho[at_pi]) * np.inf
-    t[~at_pi] = np.tan(rho[~at_pi] / 2.0)
-    return t
-
-
-def from_normalized(t) -> FoldState:
-    t = np.asarray(t, dtype=float)
-    rho = np.empty_like(t)
-    inf = np.isinf(t)
-    rho[inf] = np.sign(t[inf]) * math.pi
-    rho[~inf] = 2.0 * np.arctan(t[~inf])
-    return FoldState(rho)
-
-
-def cos_sin_from_normalized(t):
-    """Algebraic cos/sin of the folding angle from its normalized form.
-
-    cos rho = (1 - t^2)/(1 + t^2), sin rho = 2 t/(1 + t^2); the +-inf
-    representation of +-pi yields (-1, 0) exactly.
-    """
-    t = np.asarray(t, dtype=float)
-    c = np.empty_like(t)
-    s = np.empty_like(t)
-    inf = np.isinf(t)
-    c[inf], s[inf] = -1.0, 0.0
-    tt = t[~inf]
-    c[~inf] = (1.0 - tt * tt) / (1.0 + tt * tt)
-    s[~inf] = 2.0 * tt / (1.0 + tt * tt)
-    return c, s
 
 
 class CreasePattern:
@@ -289,6 +254,25 @@ def _box_pairs(lo, hi):
     return np.minimum(a, b)[near], np.maximum(a, b)[near]
 
 
+def _is_connected(n: int, edges) -> bool:
+    """Whether the graph on range(n) with ``edges`` is connected."""
+    if n <= 1:
+        return True
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    q = deque([0])
+    while q:
+        x = q.popleft()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                q.append(y)
+    return len(seen) == n
+
+
 # -- validation ----------------------------------------------------------
 
 def validate_pattern(raw) -> CreasePattern:
@@ -354,17 +338,8 @@ def validate_pattern(raw) -> CreasePattern:
             raise DanglingCrease(
                 f"{c.kind} crease {i} ({c.u},{c.v}) borders {have} panels, expected {want}")
 
-    if pat.panels:
-        seen = {0}
-        stack = [0]
-        while stack:
-            p = stack.pop()
-            for q, _ in pat.panel_adjacency[p]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        if len(seen) != len(pat.panels):
-            raise Disconnected("panel adjacency graph is not connected")
+    if not _is_connected(len(pat.panels), [cp for cp in pat.crease_panels if len(cp) == 2]):
+        raise Disconnected("panel adjacency graph is not connected")
 
     if not (0 <= pat.base_panel < len(pat.panels)):
         raise PatternError(f"base panel {pat.base_panel} out of range")

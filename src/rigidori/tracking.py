@@ -1,6 +1,8 @@
 """Numeric rigid-folding motions on the constraint variety.
 
-``track_flex`` runs tangent-predictor / Gauss-Newton-corrector continuation
+``gauss_newton_correct`` is the one corrector of single states: least-norm
+Gauss-Newton, with least-squares steps or, given rows, steps on their row
+factor.  ``track_flex`` runs tangent-predictor / corrector continuation
 from a solved state on a row factor of the Jacobian.  Its rows are
 redundant (each self-stress is a linear relation among them), so the
 tracker decides the rank r by SVD (``analysis._rank_split``) only at the
@@ -17,9 +19,8 @@ step, and the next accepted sample goes back to the SVD and picks new rows.
 through special points when the straight tangent stalls; its failure is
 evidence (not proof) that the endpoints are not 0-connected.
 ``compose_forest`` glues single-loop motions over shared crease angles when
-the sharing structure of the loops is a forest.  Both correct with
-least-squares steps only, as ``gauss_newton_correct`` does: they start
-from arbitrary guesses.
+the sharing structure of the loops is a forest.  Both correct without
+rows, so with least-squares steps only: they start from arbitrary guesses.
 
 ``correct_batch`` is the multi-start corrector: least-norm Gauss-Newton on
 a stack of states, each on its own, iterating only the states still active.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import RANK_REL_TOL, _linear_residual, _linearise, _rank_split, jacobian
-from .constraints import RESIDUAL_TOL, ConstraintSystem, Loop, residual
+from .constraints import RESIDUAL_TOL, ConstraintSystem, Loop, Residual, residual
 from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
                      NotForest, NotOnVariety)
 
@@ -82,41 +83,49 @@ class FoldPath:
         return float(np.abs(np.diff(self.samples, axis=0)).max())
 
 
+@dataclass
+class Correction:
+    """Outcome of :func:`gauss_newton_correct`; unpacks as (rho, iterations,
+    converged)."""
+    rho: np.ndarray
+    iterations: int
+    converged: bool
+    residual: Residual | None    # at rho; None after a step longer than 2 pi
+    jacobian: np.ndarray | None  # at rho; None with the residual
+    certified: bool              # every step came from the row factor of ``rows``
+
+    def __iter__(self):
+        return iter((self.rho, self.iterations, self.converged))
+
+
 def gauss_newton_correct(system: ConstraintSystem, rho,
                          tol: float = CORRECTOR_TOL,
-                         max_iter: int = MAX_CORRECTOR_ITER):
+                         max_iter: int = MAX_CORRECTOR_ITER,
+                         rows=None, rank_tol: float = RANK_REL_TOL) -> Correction:
     """Least-norm Gauss-Newton projection onto the variety.
 
     The system is usually under-determined, so the minimum-norm step keeps
-    the corrected point close to the predictor.  Returns (rho, iterations,
-    converged).
+    the corrected point close to the predictor.  With ``rows`` a step comes
+    from their row factor (see :func:`_row_solve`) wherever they certify;
+    without them, or at an iterate where they do not, it is the
+    least-squares step.
     """
-    return _correct(system, rho, tol, max_iter)[:3]
-
-
-def _correct(system, rho, tol=CORRECTOR_TOL, max_iter=MAX_CORRECTOR_ITER,
-             rows=None, rank_tol=RANK_REL_TOL):
-    """:func:`gauss_newton_correct` that also returns the residual at its
-    rho (None after a step longer than 2 pi), whether every step came from
-    the row factor of ``rows`` (see :func:`_row_solve`) and the Jacobian at
-    its rho (None with the residual).  Without ``rows``, or at an iterate
-    where the rows do not certify, the step is the least-squares one."""
     rho = np.asarray(rho, dtype=float).copy()
     certified = rows is not None
     for it in range(max_iter + 1):
         res, J = _linear_residual(system, rho)
         if res.max_norm <= tol or it == max_iter:
-            return rho, it, res.max_norm <= tol, res, certified, J
+            return Correction(rho, it, res.max_norm <= tol, res, J, certified)
         step = None if rows is None else _row_solve(J, rows, rank_tol,
                                                     -res.vector[rows])
         if step is None:
             certified = False
             step, *_ = np.linalg.lstsq(J, -res.vector, rcond=1e-12)
         if not np.all(np.isfinite(step)):
-            return rho, it, False, res, certified, J
+            return Correction(rho, it, False, res, J, certified)
         rho = rho + step
         if np.abs(step).max() > 2.0 * math.pi:
-            return rho, it + 1, False, None, certified, None
+            return Correction(rho, it + 1, False, None, None, certified)
 
 
 def correct_batch(system: ConstraintSystem, states,
@@ -203,11 +212,6 @@ def _row_solve(J, rows, rank_tol, v):
     return J_r.T @ Y[:, -1]
 
 
-def _flex_basis(system, rho, rank_tol=RANK_REL_TOL):
-    rank, basis, _ = _rank_split(jacobian(system, rho), rank_tol)
-    return basis, rank
-
-
 def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
                step_size: float = DEFAULT_STEP,
                residual_tol: float = RESIDUAL_TOL,
@@ -249,14 +253,13 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
         accepted = None
         certified = True
         while h >= step_size / 64.0:
-            pred = rho + h * tangent
-            cand, iters, ok, res, on_rows, J = _correct(system, pred, corrector_tol,
-                                                        rows=rows, rank_tol=rank_tol)
-            certified = certified and on_rows
-            if (ok and res.max_norm <= residual_tol
-                    and float(np.abs(cand - rho).max()) <= 3.0 * h):
+            c = gauss_newton_correct(system, rho + h * tangent, corrector_tol,
+                                     rows=rows, rank_tol=rank_tol)
+            certified = certified and c.certified
+            if (c.converged and c.residual.max_norm <= residual_tol
+                    and float(np.abs(c.rho - rho).max()) <= 3.0 * h):
                 # the continuity bound rejects correctors that jumped branches
-                accepted = (cand, iters, h, res.max_norm, J)
+                accepted = c
                 break
             h *= 0.5
         if accepted is None:
@@ -265,7 +268,8 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
             err.path = FoldPath(np.array(samples), residuals, "corrector-diverged",
                                 pred_lengths, corr_iters)
             raise err
-        cand, iters, h, cand_norm, J = accepted
+        cand, iters, J = accepted.rho, accepted.iterations, accepted.jacobian
+        cand_norm = accepted.residual.max_norm
 
         if float(np.abs(cand).max()) >= math.pi - 1e-12:
             samples.append(cand)
@@ -348,7 +352,7 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
             termination = "target-reached"
             break
 
-        basis, _ = _flex_basis(system, rho, rank_tol)
+        _, basis, _ = _rank_split(jacobian(system, rho), rank_tol)
         proj = basis @ (basis.T @ diff)
         pnorm = float(np.linalg.norm(proj))
         moved = False
@@ -356,12 +360,12 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
             u = proj / pnorm
             h = min(step_size, float(np.linalg.norm(diff)))
             while h >= step_size / 64.0:
-                cand, _, ok, res, *_ = _correct(system, rho + h * u, corrector_tol)
-                if (ok and res.max_norm <= residual_tol
-                        and float(np.abs(cand).max()) <= math.pi + 1e-9):
-                    rho = cand
+                c = gauss_newton_correct(system, rho + h * u, corrector_tol)
+                if (c.converged and c.residual.max_norm <= residual_tol
+                        and float(np.abs(c.rho).max()) <= math.pi + 1e-9):
+                    rho = c.rho
                     samples.append(rho.copy())
-                    residuals.append(res.max_norm)
+                    residuals.append(c.residual.max_norm)
                     moved = True
                     break
                 h *= 0.5
@@ -379,9 +383,9 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
             if hopped is None:
                 termination = "stalled"
                 break
-            rho = hopped
+            rho = hopped.rho
             samples.append(rho.copy())
-            residuals.append(residual(system, rho).max_norm)
+            residuals.append(hopped.residual.max_norm)
             best_dist = float(np.linalg.norm(rho - target))
             no_progress = 0
 
@@ -393,7 +397,8 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
 
 def _hop_toward(system, rho, target, step_size, corrector_tol,
                 residual_tol, best_dist):
-    """Short re-projected hops across a special point toward the target."""
+    """Short re-projected hops across a special point toward the target:
+    the :class:`Correction` of the first that gets closer, or None."""
     diff = target - rho
     nrm = float(np.linalg.norm(diff))
     if nrm == 0.0:
@@ -401,13 +406,13 @@ def _hop_toward(system, rho, target, step_size, corrector_tol,
     u = diff / nrm
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
         h = min(step_size * scale, nrm)
-        cand, _, ok, res, *_ = _correct(system, rho + h * u, corrector_tol)
-        if not ok or res.max_norm > residual_tol:
+        c = gauss_newton_correct(system, rho + h * u, corrector_tol)
+        if not c.converged or c.residual.max_norm > residual_tol:
             continue
-        if float(np.abs(cand).max()) > math.pi + 1e-9:
+        if float(np.abs(c.rho).max()) > math.pi + 1e-9:
             continue
-        if float(np.linalg.norm(cand - target)) < best_dist - 1e-10:
-            return cand
+        if float(np.linalg.norm(c.rho - target)) < best_dist - 1e-10:
+            return c
     return None
 
 
@@ -435,7 +440,7 @@ def loop_flex_path(system: ConstraintSystem, rho, loop_index: int,
     """
     sub, var_ids = single_loop_system(system, loop_index)
     base = np.asarray(rho, dtype=float)[var_ids]
-    basis, _ = _flex_basis(sub, base)
+    _, basis, _ = _rank_split(jacobian(sub, base))
     if basis.shape[1] == 0:
         return FoldPath(np.array([base]), [residual(sub, base).max_norm],
                         "rigid", crease_indices=var_ids)
@@ -580,11 +585,11 @@ def compose_forest(system: ConstraintSystem, rho, per_loop_paths: dict[int, Fold
     polished = []
     residuals = []
     for row in kept:
-        cand, _, ok, r, *_ = _correct(system, row, corrector_tol)
-        if not ok or not r.satisfied(residual_tol):
+        c = gauss_newton_correct(system, row, corrector_tol)
+        if not c.converged or not c.residual.satisfied(residual_tol):
             raise CorrectorDiverged("composed sample failed to polish")
-        polished.append(cand)
-        residuals.append(r.max_norm)
+        polished.append(c.rho)
+        residuals.append(c.residual.max_norm)
     return FoldPath(np.array(polished), residuals, "composed")
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rigidori import residual, track_flex
-from rigidori.analysis import RANK_REL_TOL
-from rigidori.tracking import _flex_basis
+from rigidori.analysis import RANK_REL_TOL, _rank_split, jacobian
 
 
 def fd_jacobian(system, rho, h=1e-6):
@@ -26,7 +25,7 @@ def random_solved_states(system, rho0, count, rng, steps=12, step_size=0.02):
     rho0 = np.asarray(rho0, dtype=float)
     while len(out) < count and guard < count * 8:
         guard += 1
-        basis, _ = _flex_basis(system, rho0, RANK_REL_TOL)
+        _, basis, _ = _rank_split(jacobian(system, rho0), RANK_REL_TOL)
         if basis.shape[1] == 0:
             out.append(rho0.copy())
             continue

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rigidori import (angular_velocities, build_system, classify,
-                      deg_formula_developable, flex_growth_order,
-                      gauss_newton_correct, jacobian, numeric_rank,
+                      deg_formula_developable, gauss_newton_correct, jacobian,
                       panel_frames, residual, system_from_loops, vertex_loop)
 from rigidori.errors import NotAFlex, NotDevelopable, NotOnVariety
 from rigidori import patterns
@@ -209,23 +208,8 @@ def test_angular_velocity_rejects_non_flex():
         angular_velocities(pat, np.zeros(4), np.array([1.0, 0.3, 0, 0]))
 
 
-def test_flex_growth_probe():
-    sys4 = build_system(patterns.cross_vertex())
-    # along the exact straight branch the residual stays numerically zero
-    order = flex_growth_order(sys4, np.array([0.4, 0, 0.4, 0]),
-                              np.array([1.0, 0, 1.0, 0]))
-    assert order > 4 or order == math.inf
-    # at the locked state the flex is blocked at second order
-    lock_sys, lock_rho = patterns.locked_two_vertex_system()
-    rep = classify(lock_sys, lock_rho)
-    d = rep.flex_basis[:, 0]
-    order = flex_growth_order(lock_sys, lock_rho, d)
-    assert 1.5 < order < 2.5
-
-
 def test_numeric_rank_empty_system():
     pat = patterns.square_diagonal()
     system = build_system(pat)
     rep = classify(system, np.zeros(1))
     assert rep.rank == 0 and rep.deg == 1
-    assert numeric_rank(np.zeros((0, 3))) == 0

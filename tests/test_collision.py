@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rigidori import check_state, ear_clip, first_contact, validate_pattern
+from rigidori.collision import _find_cycles
 from rigidori.errors import NotOnVariety
 from rigidori import patterns
 
@@ -135,3 +136,56 @@ def test_free_iff_both_lists_empty():
     pat = patterns.three_squares()
     rep = check_state(pat, np.array([-0.5, 0.7]))
     assert rep.free and not rep.crossing_pairs and not rep.overlap_pairs
+
+
+def _recursive_cycles(adj):
+    """Recursive Tarjan, the oracle for the iterative ``_find_cycles``."""
+    index, low, on_stack, stack, out = {}, {}, set(), [], []
+
+    def strong(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in adj.get(v, ()):
+            if w not in index:
+                strong(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            if len(comp) > 1:
+                out.append(sorted(comp))
+
+    nodes = set(adj).union(*adj.values())
+    for v in sorted(nodes):
+        if v not in index:
+            strong(v)
+    return out
+
+
+def test_find_cycles_on_long_chains():
+    assert _find_cycles({k: {k + 1} for k in range(1100)}) == []
+    ring = {k: {(k + 1) % 1101} for k in range(1101)}
+    assert _find_cycles(ring) == [list(range(1101))]
+
+
+def test_find_cycles_matches_recursive_tarjan():
+    rng = np.random.default_rng(53)
+    found = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        adj = {}
+        for _ in range(int(rng.integers(0, 3 * n))):
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            adj.setdefault(u, set()).add(v)
+        cycles = _find_cycles(adj)
+        assert cycles == _recursive_cycles(adj)
+        found += len(cycles)
+    assert found

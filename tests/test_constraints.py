@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rigidori import (build_system, is_flat_state, is_trivial_space, residual,
-                      system_from_loops, vertex_loop)
+from rigidori import (build_system, is_flat_state, residual, system_from_loops,
+                      vertex_loop)
 from rigidori.constraints import Loop, _hole_loop, chain_products
 from rigidori import patterns
 
@@ -143,15 +143,6 @@ def test_flat_state_predicate():
     assert not is_flat_state([math.pi, 0.5])
     assert is_flat_state([-math.pi, -math.pi])
     assert not is_flat_state([])
-
-
-def test_trivial_space_predicate(rng):
-    assert is_trivial_space(np.zeros((5, 3)))
-    pair = np.array([0.4, -0.2, 1.0])
-    samples = [pair, -pair, pair + 1e-9]
-    assert is_trivial_space(samples)
-    assert not is_trivial_space([pair, pair * 0.5])
-    assert not is_trivial_space([pair, np.zeros(3)])
 
 
 def test_free_creases_recorded():

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from rigidori import (CreasePattern, FoldState, cos_sin_from_normalized,
-                      dumps_pattern, from_normalized, load_pattern,
+from rigidori import (CreasePattern, FoldState, dumps_pattern, load_pattern,
                       pattern_from_dict, pattern_to_dict, save_pattern,
-                      to_normalized, validate_pattern)
+                      validate_pattern)
 from rigidori.errors import (DanglingCrease, Disconnected, NonPlanar,
                              OpenPanel, PatternError)
 from rigidori.model import Crease
@@ -128,25 +127,6 @@ def test_scaling_preserves_sector_angles():
     scaled = validate_pattern(pat.scaled(3.7))
     for v in pat.inner_vertices:
         assert np.abs(pat.sector_angles(v) - scaled.sector_angles(v)).max() < 1e-12
-
-
-def test_normalized_angles_special_values():
-    t = to_normalized([0.0, math.pi / 2, math.pi, -math.pi])
-    assert t[0] == 0.0
-    assert abs(t[1] - 1.0) < 1e-15
-    assert t[2] == math.inf and t[3] == -math.inf
-    c, s = cos_sin_from_normalized(t)
-    assert abs(c[2] + 1.0) < 1e-15 and abs(s[2]) < 1e-15
-    assert abs(c[0] - 1.0) < 1e-15
-
-
-def test_normalized_round_trip(rng):
-    rho = rng.uniform(-math.pi + 1e-9, math.pi - 1e-9, 200)
-    back = from_normalized(to_normalized(rho)).rho
-    assert np.abs(back - rho).max() < 1e-12
-    c, s = cos_sin_from_normalized(to_normalized(rho))
-    assert np.abs(c - np.cos(rho)).max() < 1e-12
-    assert np.abs(s - np.sin(rho)).max() < 1e-12
 
 
 def test_fold_state_bounds_and_mirror():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rigidori import (build_system, classify, compose_forest, correct_batch,
-                      loop_flex_path, residual, single_loop_system,
-                      system_from_loops, track_flex, track_to, vertex_loop)
+                      gauss_newton_correct, jacobian, loop_flex_path, residual,
+                      single_loop_system, system_from_loops, track_flex,
+                      track_to, vertex_loop)
 from rigidori.errors import (NonGenericIntersection, NotAFlex, NotForest,
                              NotOnVariety)
-from rigidori import patterns
+from rigidori import patterns, tracking
 
 
 def test_cross_branches_from_flat():
@@ -256,3 +257,57 @@ def test_correct_batch_leaves_inactive_states_alone(make):
     for prev, cur in zip(runs, runs[1:]):
         done = (prev == cur).all(axis=1)
         assert (cur[done] == runs[-1][done]).all()
+
+
+def test_correction_unpacks_as_the_triple():
+    sys4 = build_system(patterns.cross_vertex())
+    c = gauss_newton_correct(sys4, [0.3, 0.02, 0.3, -0.01])
+    rho, iterations, converged = c
+    assert rho is c.rho and iterations == c.iterations and converged is c.converged
+    assert converged and c.residual.max_norm <= tracking.CORRECTOR_TOL
+    assert not c.certified      # no rows given: least-squares steps
+
+
+@pytest.mark.parametrize("make", [patterns.cross_vertex, patterns.square_ring,
+                                  patterns.miura_3x3])
+def test_correction_residual_and_jacobian_are_at_its_rho(make):
+    system = build_system(make())
+    rng = np.random.default_rng(47)
+    checked = 0
+    for max_iter in (0, 2, 25):
+        for guess in rng.uniform(-0.5, 0.5, (4, system.n_vars)):
+            c = gauss_newton_correct(system, guess, max_iter=max_iter)
+            if c.residual is None:      # a step longer than 2 pi, tested below
+                continue
+            checked += 1
+            ref = residual(system, c.rho)
+            assert c.residual.vector.tobytes() == ref.vector.tobytes()
+            assert c.residual.max_norm == ref.max_norm
+            assert c.jacobian.tobytes() == jacobian(system, c.rho).tobytes()
+    assert checked
+
+
+def test_correction_after_a_step_longer_than_two_pi():
+    sys4 = build_system(patterns.cross_vertex())
+    guesses = np.random.default_rng(0).uniform(-math.pi, math.pi, (40, 4))
+    far = [c for c in (gauss_newton_correct(sys4, g) for g in guesses)
+           if c.residual is None]
+    assert far
+    for c in far:
+        assert c.converged is False and c.jacobian is None
+
+
+def test_track_flex_corrects_with_the_public_corrector(monkeypatch):
+    calls = []
+    inner = tracking.gauss_newton_correct
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("rows"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tracking, "gauss_newton_correct", counting)
+    path = track_flex(build_system(patterns.cross_vertex()), np.zeros(4),
+                      [0, 1, 0, 1], steps=20)
+    assert len(path) == 21
+    assert len(calls) >= len(path) - 1
+    assert all(rows is not None for rows in calls)

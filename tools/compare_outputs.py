@@ -74,6 +74,18 @@ degree-4 tuples drawn the same way, and on the cube corner (pi/2)*3 and the
 flat cross (pi/2)*4.  The OLD run draws the angles.  The roots must be equal
 bit for bit, in the same order and with the same duplicates.
 
+Both runs also record, bit for bit, the samples, residuals, termination
+and length of these paths: ``track_to`` on the cross vertex from
+(0.3, 0, 0.3, 0) to its mirror (through the flat state) and to
+(0, 0.3, 0, 0.3) (a branch switch), ``track_to`` on the locked fixture in
+both directions with ``max_steps=2500`` (the stall), and ``loop_flex_path``
+of each loop of ``forest_two_vertices`` from flat with their
+``compose_forest``.  They also record ``gauss_newton_correct`` with
+``max_iter=50`` from 20 seeded guesses on each of ``cross_vertex``,
+``pentagon_ring``, ``square_ring`` and ``miura_3x3``, which the OLD run
+draws: the corrected states, the iteration counts and the convergence
+flags must be equal bit for bit.
+
 Both runs also record ``validate_pattern`` on perturbed copies of the
 fixtures: 150 per fixture for each of three perturbations, which move one
 vertex, snap one vertex onto a crease or snap one vertex onto another
@@ -99,6 +111,8 @@ SAMPLE_TOL = 1e-9
 ANGULAR_TOL = 1e-14     # flexes are scaled to max-norm 1
 VALIDATE_DRAWS = 150
 PACKING_DRAWS = 2000
+# outputs compared bit for bit
+EXACT = ("explore", "track_to", "forest", "correct")
 
 
 def dump(out: str, states_from: str | None) -> None:
@@ -139,6 +153,7 @@ def dump(out: str, states_from: str | None) -> None:
     dump_generic(data)
     dump_packing(data)
     dump_tracks(data, given)
+    dump_solvers(data, given)
     dump_explore(data, given)
     dump_validate(data, given)
     np.savez(out, **data)
@@ -360,6 +375,50 @@ def dump_tracks(data: dict, given) -> None:
             "corrector_iterations": [int(i) for i in path.corrector_iterations]}))
 
 
+def record_path(data: dict, key: str, path) -> None:
+    data[f"{key}/samples"] = path.samples
+    data[f"{key}/residuals"] = np.array(path.residuals)
+    data[f"{key}/path"] = np.array(json.dumps({"termination": path.termination,
+                                               "samples": len(path.samples)}))
+
+
+def dump_solvers(data: dict, given) -> None:
+    """``track_to``, ``loop_flex_path``, ``compose_forest`` and
+    ``gauss_newton_correct`` from seeded guesses, all compared bit for bit."""
+    import rigidori as ro
+    from rigidori import patterns
+
+    cross = ro.build_system(patterns.cross_vertex())
+    start = np.array([0.3, 0, 0.3, 0])
+    record_path(data, "track_to/cross_mirror", ro.track_to(cross, start, -start))
+    record_path(data, "track_to/cross_branch",
+                ro.track_to(cross, start, np.array([0, 0.3, 0, 0.3])))
+    lock_sys, lock_rho = patterns.locked_two_vertex_system()
+    for name, (a, b) in (("fwd", (lock_rho, -lock_rho)), ("bwd", (-lock_rho, lock_rho))):
+        record_path(data, f"track_to/lock_{name}",
+                    ro.track_to(lock_sys, a, b, max_steps=2500))
+
+    forest = ro.build_system(patterns.forest_two_vertices())
+    rho0 = np.zeros(forest.n_vars)
+    paths = {k: ro.loop_flex_path(forest, rho0, k, prefer_var=0)
+             for k in range(len(forest.loops))}
+    for k, path in paths.items():
+        record_path(data, f"forest/loop{k}", path)
+    record_path(data, "forest/composed", ro.compose_forest(forest, rho0, paths))
+
+    rng = np.random.default_rng(31)
+    for name in ("cross_vertex", "pentagon_ring", "square_ring", "miura_3x3"):
+        system = ro.build_system(getattr(patterns, name)())
+        key = f"correct/{name}"
+        guesses = (given[f"{key}/guesses"] if given is not None
+                   else rng.uniform(-math.pi, math.pi, (20, system.n_vars)))
+        out = [ro.gauss_newton_correct(system, g, max_iter=50) for g in guesses]
+        data[f"{key}/guesses"] = guesses
+        data[f"{key}/rho"] = np.array([rho for rho, _, _ in out])
+        data[f"{key}/outcome"] = np.array(json.dumps([[int(it), bool(ok)]
+                                                      for _, it, ok in out]))
+
+
 def dump_explore(data: dict, given) -> None:
     import rigidori as ro
 
@@ -551,7 +610,7 @@ def main() -> int:
                 if not same:
                     print(f"{key} differs:\n  old {a[key]}\n  new {b[key]}")
                 continue
-            if name == "explore" and rest[1] == "roots":
+            if name in EXACT:
                 same = a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes()
                 tally = reports.setdefault(what, [0, 0])
                 tally[0] += same
