@@ -33,6 +33,9 @@ import numpy as np
 from .model import TWO_PI, CreasePattern
 
 RESIDUAL_TOL = 1e-9
+# read-only identities, so that the per-iterate products allocate none
+_I3, _I4 = np.eye(3), np.eye(4)
+_I3.flags.writeable = _I4.flags.writeable = False
 
 
 def hinge_factors(betas, offsets, ang) -> np.ndarray:
@@ -76,13 +79,13 @@ def chain_products(betas, offsets, vars, rho, derivatives: bool = False):
     n = betas.shape[-1]
     F = hinge_factors(betas, offsets, ang)
     P = np.empty(F.shape[:-3] + (n + 1, 4, 4))
-    P[..., 0, :, :] = np.eye(4)
+    P[..., 0, :, :] = _I4
     for k in range(n):
         np.matmul(P[..., k, :, :], F[..., k, :, :], out=P[..., k + 1, :, :])
     if not derivatives:
         return P[..., n, :, :]
     S = np.empty(P.shape)
-    S[..., n, :, :] = np.eye(4)
+    S[..., n, :, :] = _I4
     for k in reversed(range(n)):
         np.matmul(F[..., k, :, :], S[..., k + 1, :, :], out=S[..., k, :, :])
     # P_{k+1} S_x: S_x moves column 2 to column 1 and minus column 1 to column 2
@@ -111,8 +114,8 @@ def loop_scalars(T, kind: str) -> np.ndarray:
 def loop_deviation(T, kind: str) -> np.ndarray:
     """Full elementwise deviation from the identity (spurious-root guard)."""
     if kind == "hole":
-        return np.abs(T - np.eye(4)).max(axis=(-2, -1))
-    return np.abs(T[..., :3, :3] - np.eye(3)).max(axis=(-2, -1))
+        return np.abs(T - _I4).max(axis=(-2, -1))
+    return np.abs(T[..., :3, :3] - _I3).max(axis=(-2, -1))
 
 
 @dataclass

@@ -224,13 +224,14 @@ def _spanning_tree(pattern: CreasePattern, edges, polygons) -> _Tree:
                    paths=[paths[p] for p in panels], polygons=polygons)
 
 
-def _cross(pattern: CreasePattern, frame, ci: int, q: int):
+def _cross(pattern: CreasePattern, xy, frame, ci: int, q: int):
     """The step over crease ``ci`` into panel ``q`` from a chain frame
-    (x-axis angle, origin), and the frame after it."""
+    (x-axis angle, origin), and the frame after it.  ``xy`` holds the vertex
+    coordinates as Python floats (``pattern.vertices.tolist()``)."""
     theta_p, (xp, yp) = frame
-    dx, dy = pattern.crease_vector(ci, into_panel=q).tolist()
-    theta_q = math.atan2(dy, dx)
-    xq, yq = pattern.crease_origin(ci, into_panel=q).tolist()
+    start, end = pattern.crease_ends(ci, into_panel=q)
+    xq, yq = xy[start]
+    theta_q = math.atan2(xy[end][1] - yq, xy[end][0] - xq)
     c, s = math.cos(-theta_p), math.sin(-theta_p)
     dx, dy = xq - xp, yq - yp
     return (ChainStep(ci, pattern.var_of_crease[ci], theta_q - theta_p,
@@ -239,6 +240,8 @@ def _cross(pattern: CreasePattern, frame, ci: int, q: int):
 
 
 def _bfs_tree(pattern: CreasePattern) -> _Tree:
+    xy = pattern.vertices.tolist()
+
     def edges():
         frame = {pattern.base_panel: (0.0, (0.0, 0.0))}
         queue = deque([pattern.base_panel])
@@ -246,7 +249,7 @@ def _bfs_tree(pattern: CreasePattern) -> _Tree:
             p = queue.popleft()
             for q, ci in pattern.panel_adjacency[p]:
                 if q not in frame:
-                    step, frame[q] = _cross(pattern, frame[p], ci, q)
+                    step, frame[q] = _cross(pattern, xy, frame[p], ci, q)
                     queue.append(q)
                     yield p, q, step
 
@@ -258,13 +261,14 @@ def _bfs_tree(pattern: CreasePattern) -> _Tree:
 
 def chain_for_path(pattern: CreasePattern, panel_path: list[int]) -> TransferChain:
     """Chain along an explicit panel path (for loop-closure cross-checks)."""
+    xy = pattern.vertices.tolist()
     frame = (0.0, (0.0, 0.0))
     steps = []
     for p, q in zip(panel_path, panel_path[1:]):
         shared = [ci for (r, ci) in pattern.panel_adjacency[p] if r == q]
         if not shared:
             raise PatternError(f"panels {p} and {q} are not adjacent")
-        step, frame = _cross(pattern, frame, shared[0], q)
+        step, frame = _cross(pattern, xy, frame, shared[0], q)
         steps.append(step)
     return TransferChain(panel_path[-1], steps)
 

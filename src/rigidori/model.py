@@ -157,21 +157,15 @@ class CreasePattern:
     def crease_index(self, u: int, v: int) -> int:
         return self._edge_index[(u, v)]
 
-    def crease_vector(self, crease_index: int, into_panel: int) -> np.ndarray:
-        """Reference direction of a crease oriented with ``into_panel`` on its left."""
+    def crease_ends(self, crease_index: int, into_panel: int) -> tuple[int, int]:
+        """(start, end) vertices of a crease oriented with ``into_panel`` on
+        its left; the start is the origin of the crease frame."""
         c = self.creases[crease_index]
         if self._panel_of_directed.get((c.u, c.v)) == into_panel:
-            return self.vertices[c.v] - self.vertices[c.u]
+            return c.u, c.v
         if self._panel_of_directed.get((c.v, c.u)) == into_panel:
-            return self.vertices[c.u] - self.vertices[c.v]
+            return c.v, c.u
         raise PatternError(f"panel {into_panel} does not border crease {crease_index}")
-
-    def crease_origin(self, crease_index: int, into_panel: int) -> np.ndarray:
-        """Start point of the oriented crease (the frame origin)."""
-        c = self.creases[crease_index]
-        if self._panel_of_directed.get((c.u, c.v)) == into_panel:
-            return self.vertices[c.u].astype(float)
-        return self.vertices[c.v].astype(float)
 
     def sector_angles(self, v: int) -> np.ndarray:
         """CCW sector angles at vertex ``v``, aligned with ``vertex_creases[v]``.

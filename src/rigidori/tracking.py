@@ -1,26 +1,28 @@
 """Numeric rigid-folding motions on the constraint variety.
 
 ``gauss_newton_correct`` is the one corrector of single states: least-norm
-Gauss-Newton, with least-squares steps or, given rows, steps on their row
-factor.  ``track_flex`` runs tangent-predictor / corrector continuation
-from a solved state on a row factor of the Jacobian.  Its rows are
-redundant (each self-stress is a linear relation among them), so the
-tracker decides the rank r by SVD (``analysis._rank_split``) only at the
-start of a segment and after a rank event, and there picks r independent
-rows J_r by greedy pivoted Gram-Schmidt.  In between, with G = J_r J_r^T,
-the corrector's least-norm step is J_r^T G^-1 (-res[rows]) and the tangent
-projection is t - J_r^T G^-1 J_r t.  Every Jacobian the tracker evaluates,
-each corrector iterate included, first certifies the rows
-(``_row_solve``): the rank is r with the margin ``ROW_MARGIN`` on both
-sides of the SVD cutoff.  An iterate that fails takes the least-squares
-step, and the next accepted sample goes back to the SVD and picks new rows.
+Gauss-Newton, with least-squares steps or, given a flex basis, steps from
+the Gram matrix of the Jacobian and those flexes.  ``track_flex`` runs
+tangent-predictor / corrector continuation from a solved state and carries
+N, an orthonormal basis (j x d) of the flexes of its last certified
+Jacobian.  It decides the rank by SVD (``analysis._rank_split``) only at
+the start of a segment and after a rank event, and there N is the SVD null
+basis.  In between, every Jacobian J the tracker evaluates, each corrector
+iterate included, is certified on A = J^T J + N N^T (``_flex_solve``): the
+rank is j - d with the margin ``ROW_MARGIN`` on both sides of the SVD
+cutoff.  One solve with A gives the flexes Q of J (A^-1 N, orthonormalised)
+and the least-norm step J^+ b (A^-1 J^T b with its flex part removed).  The
+new tangent is the projection Q Q^T t, and Q is the next N.  An iterate
+that fails takes the least-squares step, and the next accepted sample goes
+back to the SVD.
 
 ``track_to`` steers greedily toward a target state and switches branches
 through special points when the straight tangent stalls; its failure is
 evidence (not proof) that the endpoints are not 0-connected.
 ``compose_forest`` glues single-loop motions over shared crease angles when
-the sharing structure of the loops is a forest.  Both correct without
-rows, so with least-squares steps only: they start from arbitrary guesses.
+the sharing structure of the loops is a forest.  Both correct without a
+flex basis, so with least-squares steps only: they start from arbitrary
+guesses.
 
 ``correct_batch`` is the multi-start corrector: least-norm Gauss-Newton on
 a stack of states, each on its own, iterating only the states still active.
@@ -42,7 +44,7 @@ from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
 DEFAULT_STEP = math.pi / 200
 CORRECTOR_TOL = 1e-11
 MAX_CORRECTOR_ITER = 25
-# factor by which a certified row factor keeps its rank from the SVD cutoff
+# factor by which a certified Jacobian keeps its rank from the SVD cutoff
 ROW_MARGIN = 100.0
 
 
@@ -92,7 +94,7 @@ class Correction:
     converged: bool
     residual: Residual | None    # at rho; None after a step longer than 2 pi
     jacobian: np.ndarray | None  # at rho; None with the residual
-    certified: bool              # every step came from the row factor of ``rows``
+    certified: bool              # every step came from the Gram factor of ``flex``
 
     def __iter__(self):
         return iter((self.rho, self.iterations, self.converged))
@@ -101,26 +103,28 @@ class Correction:
 def gauss_newton_correct(system: ConstraintSystem, rho,
                          tol: float = CORRECTOR_TOL,
                          max_iter: int = MAX_CORRECTOR_ITER,
-                         rows=None, rank_tol: float = RANK_REL_TOL) -> Correction:
+                         flex=None, rank_tol: float = RANK_REL_TOL) -> Correction:
     """Least-norm Gauss-Newton projection onto the variety.
 
     The system is usually under-determined, so the minimum-norm step keeps
-    the corrected point close to the predictor.  With ``rows`` a step comes
-    from their row factor (see :func:`_row_solve`) wherever they certify;
-    without them, or at an iterate where they do not, it is the
+    the corrected point close to the predictor.  With ``flex``, the
+    orthonormal flexes of a nearby certified Jacobian, a step comes from the
+    Gram factor of :func:`_flex_solve` wherever the iterate's Jacobian
+    certifies; without them, or at an iterate that does not, it is the
     least-squares step.
     """
     rho = np.asarray(rho, dtype=float).copy()
-    certified = rows is not None
+    certified = flex is not None
     for it in range(max_iter + 1):
         res, J = _linear_residual(system, rho)
         if res.max_norm <= tol or it == max_iter:
             return Correction(rho, it, res.max_norm <= tol, res, J, certified)
-        step = None if rows is None else _row_solve(J, rows, rank_tol,
-                                                    -res.vector[rows])
-        if step is None:
+        solved = None if flex is None else _flex_solve(J, flex, rank_tol, -res.vector)
+        if solved is None:
             certified = False
             step, *_ = np.linalg.lstsq(J, -res.vector, rcond=1e-12)
+        else:
+            step = solved[1]
         if not np.all(np.isfinite(step)):
             return Correction(rho, it, False, res, J, certified)
         rho = rho + step
@@ -157,59 +161,55 @@ def correct_batch(system: ConstraintSystem, states,
     return R
 
 
-def _pick_rows(J, rank):
-    """``rank`` rows of J by greedy pivoted Gram-Schmidt, in index order.
+def _flex_solve(J, N, rank_tol, b=None):
+    """``(Q, x)``: orthonormal flexes Q of J and, given ``b``, the least-norm
+    least-squares solution x = J^+ b; or None when J does not certify that
+    its rank is j - d.  N (j x d, orthonormal) holds the flexes of a nearby
+    certified Jacobian.
 
-    Each pick is the row farthest from the span of the rows picked before
-    it (numpy has no pivoted QR).
+    With A = J^T J + N N^T, ``hi`` the Frobenius norm of J and ``lo`` its
+    largest row norm, so that ``lo <= |J|_2 <= hi``, and M = ``ROW_MARGIN``,
+    the certificate is
+      - no drop: A - (M rank_tol hi)^2 I has a Cholesky factor, so
+        |Jx| > M rank_tol hi |x| for x orthogonal to N, and
+        sigma_(j-d)(J) > M rank_tol |J|_2 (Courant-Fischer);
+      - no rise: Q, the orthonormalised A^-1 N, has |J Q|_F <= rank_tol lo / M,
+        so sigma_(j-d+1)(J) <= rank_tol |J|_2 / M.  The bound holds for any
+        orthonormal Q, so an inexact Q can only refuse.
+    Then ``_rank_split`` finds rank j - d, with the margin M on both sides of
+    its cutoff, and A^-1 N spans the null space of J: A v = N N^T v for every
+    flex v.  The same solve gives A^-1 J^T b, which differs from J^+ b by a
+    flex, so x is its part orthogonal to Q.  numpy has no triangular solve,
+    so A^-1 is applied by ``np.linalg.solve``.  N N^T has eigenvalue 1, so
+    with d > 0 no J with M rank_tol hi >= 1 certifies.
     """
-    m, n = J.shape
-    basis = np.zeros((rank, n))
-    coef = np.zeros((m, rank))              # J @ basis.T, column by column
-    left = np.einsum("ij,ij->i", J, J)      # squared distances to the span
-    picked = np.empty(rank, dtype=np.intp)
-    for k in range(rank):
-        i = int(np.argmax(left))
-        v = J[i] - coef[i, :k] @ basis[:k]
-        v -= (basis[:k] @ v) @ basis[:k]    # second pass keeps the basis orthonormal
-        basis[k] = v / (np.linalg.norm(v) or 1.0)
-        coef[:, k] = J @ basis[k]
-        left -= coef[:, k] ** 2
-        left[i] = -np.inf
-        picked[k] = i
-    return np.sort(picked)
-
-
-def _row_solve(J, rows, rank_tol, v):
-    """``J_r^T G^-1 v`` for ``J_r = J[rows]`` and ``G = J_r J_r^T``, or None
-    when the rows do not certify that J has rank ``len(rows)``.
-
-    With ``hi`` the Frobenius norm of J and ``lo`` its largest row norm, so
-    that ``lo <= |J|_2 <= hi``, and M = ``ROW_MARGIN``, the certificate is
-      - no drop: G - (M rank_tol hi)^2 I has a Cholesky factor, so
-        sigma_r(J) >= sigma_min(J_r) > M rank_tol |J|_2;
-      - no rise: the excluded rows lie within ``rank_tol lo / M`` (Frobenius)
-        of the row space of J_r, so sigma_(r+1)(J) <= rank_tol |J|_2 / M.
-    Then ``_rank_split`` finds rank r, with the margin M on both sides of its
-    cutoff.  numpy has no triangular solve, so G^-1 is applied by
-    ``np.linalg.solve``.
-    """
-    row_sq = np.einsum("ij,ij->i", J, J)
-    hi = math.sqrt(row_sq.sum())
-    lo = math.sqrt(row_sq.max(initial=0.0))
-    J_r = J[rows]
-    G = J_r @ J_r.T
+    row_sq = np.einsum("ij,ij->i", J, J).tolist()
+    hi = math.sqrt(sum(row_sq))
+    lo = math.sqrt(max(row_sq, default=0.0))
+    n, d = N.shape
+    A = J.T @ J + N @ N.T
+    shifted = A.copy()
+    shifted.flat[::n + 1] -= (ROW_MARGIN * rank_tol * hi) ** 2
     try:
-        np.linalg.cholesky(G - (ROW_MARGIN * rank_tol * hi) ** 2 * np.eye(len(G)))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return None
-    if len(rows) == len(J):
-        return J_r.T @ np.linalg.solve(G, v)
-    J_x = np.delete(J, rows, axis=0)
-    Y = np.linalg.solve(G, np.column_stack([J_r @ J_x.T, v]))
-    if np.linalg.norm(J_x - Y[:, :-1].T @ J_r) > rank_tol * lo / ROW_MARGIN:
+    if b is None:
+        Y = np.linalg.solve(A, N)
+    else:
+        rhs = np.empty((n, d + 1))
+        rhs[:, :d] = N
+        rhs[:, d] = J.T @ b
+        Y = np.linalg.solve(A, rhs)
+    Z = Y[:, :d]
+    Q = Z / math.sqrt(np.vdot(Z, Z)) if d == 1 else np.linalg.qr(Z)[0]
+    JQ = J @ Q
+    if np.vdot(JQ, JQ) > (rank_tol * lo / ROW_MARGIN) ** 2:
         return None
-    return J_r.T @ Y[:, -1]
+    if b is None:
+        return Q, None
+    x = Y[:, d]
+    return Q, x - Q @ (Q.T @ x)
 
 
 def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
@@ -244,8 +244,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
     pred_lengths: list[float] = []
     corr_iters: list[int] = []
     tangent = direction
-    max_rank_seen = _rank_split(J, rank_tol)[0]
-    rows = _pick_rows(J, max_rank_seen)
+    max_rank_seen, flex, _ = _rank_split(J, rank_tol)
     termination = "steps"
 
     for _ in range(steps):
@@ -254,7 +253,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
         certified = True
         while h >= step_size / 64.0:
             c = gauss_newton_correct(system, rho + h * tangent, corrector_tol,
-                                     rows=rows, rank_tol=rank_tol)
+                                     flex=flex, rank_tol=rank_tol)
             certified = certified and c.certified
             if (c.converged and c.residual.max_norm <= residual_tol
                     and float(np.abs(c.rho - rho).max()) <= 3.0 * h):
@@ -279,16 +278,14 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
             termination = "angle-bound"
             break
 
-        normal = (_row_solve(J, rows, rank_tol, J[rows] @ tangent) if certified
-                  else None)
-        if normal is None:
-            # a rank event, or an iterate the rows did not certify
-            rank_here, basis, _ = _rank_split(J, rank_tol)
-            rows = _pick_rows(J, rank_here)
-            new_tan = basis @ (basis.T @ tangent)
+        solved = _flex_solve(J, flex, rank_tol) if certified else None
+        if solved is None:
+            # a rank event, or an iterate that did not certify
+            rank_here, flex, _ = _rank_split(J, rank_tol)
         else:
-            rank_here = len(rows)
-            new_tan = tangent - normal
+            flex = solved[0]
+            rank_here = len(flex) - flex.shape[1]
+        new_tan = flex @ (flex.T @ tangent)
         if rank_here < max_rank_seen:
             samples.append(cand)
             residuals.append(cand_norm)
@@ -307,7 +304,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
         pred_lengths.append(h)
         corr_iters.append(iters)
 
-        nrm = np.linalg.norm(new_tan)
+        nrm = math.sqrt(new_tan @ new_tan)
         if nrm < 1e-9:
             termination = "flex-lost"
             break

@@ -265,7 +265,7 @@ def test_correction_unpacks_as_the_triple():
     rho, iterations, converged = c
     assert rho is c.rho and iterations == c.iterations and converged is c.converged
     assert converged and c.residual.max_norm <= tracking.CORRECTOR_TOL
-    assert not c.certified      # no rows given: least-squares steps
+    assert not c.certified      # no flex given: least-squares steps
 
 
 @pytest.mark.parametrize("make", [patterns.cross_vertex, patterns.square_ring,
@@ -302,7 +302,7 @@ def test_track_flex_corrects_with_the_public_corrector(monkeypatch):
     inner = tracking.gauss_newton_correct
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("rows"))
+        calls.append(kwargs.get("flex"))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(tracking, "gauss_newton_correct", counting)
@@ -310,4 +310,4 @@ def test_track_flex_corrects_with_the_public_corrector(monkeypatch):
                       [0, 1, 0, 1], steps=20)
     assert len(path) == 21
     assert len(calls) >= len(path) - 1
-    assert all(rows is not None for rows in calls)
+    assert all(flex is not None for flex in calls)

@@ -1,9 +1,9 @@
-"""``track_flex`` with its certified row factor against a per-sample-SVD tracker.
+"""``track_flex`` with its certified Gram factor against a per-sample-SVD tracker.
 
-``reference_track`` below is the tracker as it ran before the row factor:
-one SVD of the Jacobian at every accepted sample for the rank and the
-tangent, and a least-squares (``lstsq``) step at every corrector iterate.
-It is kept here as the oracle.
+``reference_track`` below is the tracker without a certificate: one SVD of
+the Jacobian at every accepted sample for the rank and the tangent, and a
+least-squares (``lstsq``) step at every corrector iterate.  It is kept here
+as the oracle.
 """
 
 import math
@@ -17,7 +17,7 @@ from rigidori.analysis import RANK_REL_TOL, _rank_split, jacobian
 from rigidori.constraints import RESIDUAL_TOL
 from rigidori.errors import CorrectorDiverged
 from rigidori.tracking import (CORRECTOR_TOL, DEFAULT_STEP, MAX_CORRECTOR_ITER,
-                               ROW_MARGIN, _pick_rows, _row_solve)
+                               ROW_MARGIN, _flex_solve)
 
 
 # -- per-sample-SVD oracle ---------------------------------------------------
@@ -164,24 +164,36 @@ def test_regular_miura_track_takes_one_svd_and_no_lstsq(monkeypatch):
 
 # -- the certificate -------------------------------------------------------------
 
-def test_row_solve_is_the_least_norm_solution_on_certified_rows():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(4, 7))
-    J = np.vstack([A, rng.normal(size=(3, 4)) @ A])   # rank 4, 7 rows
-    rows = _pick_rows(J, 4)
-    assert len(set(rows.tolist())) == 4
-    b = J @ rng.normal(size=7)                          # consistent right side
-    x = _row_solve(J, rows, RANK_REL_TOL, b[rows])
-    want, *_ = np.linalg.lstsq(J, b, rcond=None)
-    assert np.abs(x - want).max() <= 1e-12
-
-
-def test_row_solve_refuses_a_rank_rise():
-    rng = np.random.default_rng(4)
+def _rank4_of_7(seed):
+    """A 7 x 7 Jacobian of rank 4 (three rows are combinations of the others)
+    and its SVD flexes (7 x 3)."""
+    rng = np.random.default_rng(seed)
     A = rng.normal(size=(4, 7))
     J = np.vstack([A, rng.normal(size=(3, 4)) @ A])
-    rows = _pick_rows(J, 4)
-    other = [i for i in range(7) if i not in rows][0]
+    rank, flex, _ = _rank_split(J)
+    assert rank == 4
+    return J, flex, rng
+
+
+def _tilted(flex, rng, size=1e-3):
+    """An orthonormal basis within ``size`` of ``flex``, as the flexes of a
+    nearby Jacobian would be."""
+    return np.linalg.qr(flex + size * rng.normal(size=flex.shape))[0]
+
+
+def test_flex_solve_is_the_least_norm_solution():
+    J, flex, rng = _rank4_of_7(3)
+    for N in (flex, _tilted(flex, rng)):
+        for b in (J @ rng.normal(size=7),      # consistent right side
+                  rng.normal(size=7)):         # inconsistent right side
+            Q, x = _flex_solve(J, N, RANK_REL_TOL, b)
+            want, *_ = np.linalg.lstsq(J, b, rcond=None)
+            assert np.abs(x - want).max() <= 1e-12
+            assert np.abs(Q @ Q.T - flex @ flex.T).max() <= 1e-12
+
+
+def test_flex_solve_refuses_a_rank_rise():
+    J, flex, rng = _rank4_of_7(4)
     bump = rng.normal(size=7)
     bump /= np.linalg.norm(bump)
     scale = np.linalg.norm(J, 2)
@@ -189,29 +201,49 @@ def test_row_solve_refuses_a_rank_rise():
                             (1e-9, False),     # below it, but within the margin
                             (1e-14, True)):    # below it by more than the margin
         raised = J.copy()
-        raised[other] += size * scale * bump
-        got = _row_solve(raised, rows, RANK_REL_TOL, np.zeros(4))
+        raised[6] += size * scale * bump
+        got = _flex_solve(raised, flex, RANK_REL_TOL, np.zeros(7))
         assert (got is not None) == certified, size
 
 
-def test_row_solve_refuses_a_rank_drop_near_the_cutoff():
+def test_flex_solve_refuses_a_rank_drop_near_the_cutoff():
     J = np.diag([1.0, 1.0, 1.0])
-    rows = np.arange(3)
-    assert _row_solve(J, rows, RANK_REL_TOL, np.ones(3)) is not None
+    none = np.zeros((3, 0))
+    assert _flex_solve(J, none, RANK_REL_TOL, np.ones(3)) is not None
     # sigma_min ten times the cutoff: the SVD keeps the rank, but it lies
     # within the margin, so the SVD must decide
     J[2, 2] = 10 * RANK_REL_TOL
     assert _rank_split(J)[0] == 3
-    assert _row_solve(J, rows, RANK_REL_TOL, np.ones(3)) is None
+    assert _flex_solve(J, none, RANK_REL_TOL, np.ones(3)) is None
     J[2, 2] = 10 * ROW_MARGIN * RANK_REL_TOL
-    assert _row_solve(J, rows, RANK_REL_TOL, np.ones(3)) is not None
+    assert _flex_solve(J, none, RANK_REL_TOL, np.ones(3)) is not None
 
 
-def test_row_solve_rank_zero_and_empty():
-    rows = np.zeros(0, dtype=np.intp)
+def test_flex_solve_rank_zero_and_empty():
+    every = np.eye(3)
     empty = np.zeros((0, 3))
-    assert _row_solve(empty, rows, RANK_REL_TOL, np.zeros(0)).tolist() == [0, 0, 0]
+    assert _flex_solve(empty, every, RANK_REL_TOL, np.zeros(0))[1].tolist() == [0, 0, 0]
     zero = np.zeros((2, 3))
-    assert _pick_rows(zero, 0).size == 0
-    assert _row_solve(zero, rows, RANK_REL_TOL, np.zeros(0)).tolist() == [0, 0, 0]
-    assert _row_solve(np.eye(2, 3), rows, RANK_REL_TOL, np.zeros(0)) is None
+    rank, flex, _ = _rank_split(zero)
+    assert rank == 0 and flex.shape == (3, 3)
+    assert _flex_solve(zero, every, RANK_REL_TOL, np.zeros(2))[1].tolist() == [0, 0, 0]
+    assert _flex_solve(np.eye(2, 3), every, RANK_REL_TOL, np.zeros(2)) is None
+
+
+@pytest.mark.parametrize("name", ["miura_3x3", "square_ring"])
+def test_flex_solve_spans_several_flexes(name):
+    system, rho, _ = flat_start(name)
+    J = jacobian(system, rho)
+    rank, flex, _ = _rank_split(J)
+    deg = flex.shape[1]
+    assert deg > 1
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=len(rho))
+    b = rng.normal(size=len(J))
+    for N in (flex, _tilted(flex, rng)):
+        Q, x = _flex_solve(J, N, RANK_REL_TOL, b)
+        assert Q.shape == flex.shape
+        assert np.abs(Q @ Q.T - flex @ flex.T).max() <= 1e-12
+        assert np.abs(Q @ (Q.T @ t) - flex @ (flex.T @ t)).max() <= 1e-12
+        want, *_ = np.linalg.lstsq(J, b, rcond=1e-12)
+        assert np.abs(x - want).max() <= 1e-12
