@@ -33,7 +33,7 @@ import numpy as np
 from .model import TWO_PI, CreasePattern
 
 RESIDUAL_TOL = 1e-9
-# read-only identities, so that the per-iterate products allocate none
+# shared read-only identities, so that no per-iterate product builds its own
 _I3, _I4 = np.eye(3), np.eye(4)
 _I3.flags.writeable = _I4.flags.writeable = False
 

@@ -175,10 +175,10 @@ def _rank4_of_7(seed):
     return J, flex, rng
 
 
-def _tilted(flex, rng, size=1e-3):
-    """An orthonormal basis within ``size`` of ``flex``, as the flexes of a
+def _tilted(flex, rng):
+    """An orthonormal basis about 1e-3 from ``flex``, as the flexes of a
     nearby Jacobian would be."""
-    return np.linalg.qr(flex + size * rng.normal(size=flex.shape))[0]
+    return np.linalg.qr(flex + 1e-3 * rng.normal(size=flex.shape))[0]
 
 
 def test_flex_solve_is_the_least_norm_solution():
@@ -234,9 +234,8 @@ def test_flex_solve_rank_zero_and_empty():
 def test_flex_solve_spans_several_flexes(name):
     system, rho, _ = flat_start(name)
     J = jacobian(system, rho)
-    rank, flex, _ = _rank_split(J)
-    deg = flex.shape[1]
-    assert deg > 1
+    flex = _rank_split(J)[1]
+    assert flex.shape[1] > 1
     rng = np.random.default_rng(5)
     t = rng.normal(size=len(rho))
     b = rng.normal(size=len(J))
