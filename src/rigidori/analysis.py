@@ -1,8 +1,8 @@
 """Tangent-space rigidity analysis: Jacobian, DOF, flexes, self-stresses.
 
 :func:`jacobian` differentiates one state or a batch of states; ``classify``
-and the correctors of ``tracking`` read the residual scalars, the loop
-deviations and the Jacobian together from one ``_linearise`` pass.
+and the correctors of ``tracking`` read the residual and the Jacobian
+together from one ``constraints._linearise`` pass.
 """
 
 from __future__ import annotations
@@ -11,13 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (RESIDUAL_TOL, ConstraintSystem, Residual, build_system,
-                          chain_products, loop_deviation, loop_scalars)
+from .constraints import (RESIDUAL_TOL, ConstraintSystem, _linearise, build_system,
+                          loop_scalars)
 from .errors import NotAFlex, NotDevelopable, NotOnVariety
 from .kinematics import TransferChain, _tree, _walk
 from .model import TWO_PI, CreasePattern
 
 RANK_REL_TOL = 1e-8
+# largest max-norm of J d, relative to d, for which d counts as a flex
+FLEX_TOL = 1e-6
+# agreement required of the two angular-velocity recursions, relative to rho_dot
+IDENTITY_TOL = 1e-8
 # generator of rotations about x: d/d rho Rx(rho) = Rx(rho) S_x
 _S_X = np.array([[0.0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
 
@@ -29,29 +33,7 @@ def jacobian(system: ConstraintSystem, rho) -> np.ndarray:
     Columns of creases appearing in no loop are identically zero; such
     creases fold freely.
     """
-    return _linearise(system, rho)[2]
-
-
-def _linearise(system: ConstraintSystem, rho):
-    """Stacked loop residual scalars (..., 3i+6h), loop deviations (..., loops)
-    and the Jacobian, from one :func:`chain_products` call per loop group."""
-    rho = np.asarray(rho, dtype=float)
-    vec = np.zeros(rho.shape[:-1] + (system.residual_dim,))
-    dev = np.zeros(rho.shape[:-1] + (len(system.loops),))
-    J = np.zeros(rho.shape[:-1] + (system.residual_dim, system.n_vars))
-    for kind, index, rows, betas, offsets, vars_ in system.groups:
-        T, D, _ = chain_products(betas, offsets, vars_, rho, derivatives=True)
-        vec[..., rows] = loop_scalars(T, kind)
-        dev[..., index] = loop_deviation(T, kind)
-        # a crease crossed twice by one loop adds both derivatives
-        np.add.at(J, (..., rows[:, None, :], vars_[:, :, None]), loop_scalars(D, kind))
-    return vec, dev, J
-
-
-def _linear_residual(system: ConstraintSystem, rho):
-    """The residual at ``rho`` and the Jacobian there, from one ``_linearise`` pass."""
-    vec, dev, J = _linearise(system, rho)
-    return Residual(vec, dev, float(dev.max(initial=0.0))), J
+    return _linearise(system, rho)[1]
 
 
 def _rank_split(J: np.ndarray, rel_tol: float = RANK_REL_TOL):
@@ -87,7 +69,7 @@ def classify(system: ConstraintSystem, rho, residual_tol: float = RESIDUAL_TOL,
 
     Raises :class:`NotOnVariety` when the residual exceeds ``residual_tol``.
     """
-    res, J = _linear_residual(system, rho)
+    res, J = _linearise(system, rho)
     if not res.satisfied(residual_tol):
         raise NotOnVariety(f"residual max-norm {res.max_norm:.3e} > {residual_tol:.1e}")
     m, n = J.shape
@@ -131,9 +113,7 @@ def deg_formula_developable(pattern: CreasePattern) -> int:
 
 def angular_velocities(pattern: CreasePattern, rho, rho_dot,
                        system: ConstraintSystem | None = None,
-                       chains: dict[int, TransferChain] | None = None,
-                       flex_tol: float = 1e-6,
-                       identity_tol: float = 1e-8) -> np.ndarray:
+                       chains: dict[int, TransferChain] | None = None) -> np.ndarray:
     """Per-panel angular velocity of the flex ``rho_dot``.
 
     Down the spanning tree, omega jumps by rho_dot_k c_k at each crossing,
@@ -152,7 +132,7 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
     if J.size and rho_dot.size:
         drive = float(np.abs(J @ rho_dot).max())
         scale = max(1.0, float(np.abs(rho_dot).max(initial=0.0)))
-        if drive > flex_tol * scale:
+        if drive > FLEX_TOL * scale:
             raise NotAFlex(f"J . rho_dot has max entry {drive:.3e}")
     panels = range(len(pattern.panels)) if chains is None else sorted(chains)
     tree = _tree(pattern, chains, panels)
@@ -166,7 +146,7 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
         dT[nodes] = dT[up] @ F[nodes] + rate[nodes, None, None] * (T[nodes] @ _S_X)
     skew = loop_scalars(dT[:, :3, :3] @ T[:, :3, :3].swapaxes(-1, -2), "vertex")
     err = float(np.abs(skew - omega).max())
-    limit = identity_tol * max(1.0, float(np.abs(rho_dot).max(initial=0.0)))
+    limit = IDENTITY_TOL * max(1.0, float(np.abs(rho_dot).max(initial=0.0)))
     if err > limit:
         raise RuntimeError(f"angular-velocity identity violated: {err:.3e}")
     omegas = np.zeros((len(pattern.panels), 3))

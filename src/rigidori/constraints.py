@@ -33,6 +33,8 @@ import numpy as np
 from .model import TWO_PI, CreasePattern
 
 RESIDUAL_TOL = 1e-9
+# distance of every angle from +-pi below which a state counts as flat folded
+FLAT_TOL = 1e-9
 # shared read-only identities, so that no per-iterate product builds its own
 _I3, _I4 = np.eye(3), np.eye(4)
 _I3.flags.writeable = _I4.flags.writeable = False
@@ -149,7 +151,7 @@ class Loop:
 class Residual:
     vector: np.ndarray
     loop_deviations: np.ndarray  # max_deviation of each loop, in system order
-    max_norm: float
+    max_norm: float              # an array over the states of a batch
 
     def satisfied(self, tol: float = RESIDUAL_TOL) -> bool:
         return self.max_norm <= tol
@@ -159,7 +161,7 @@ class Residual:
 class ConstraintSystem:
     n_vars: int
     loops: list[Loop]
-    free_vars: list[int] = field(default_factory=list)
+    free_vars: list[int] = field(init=False)
 
     def __post_init__(self):
         offsets = []
@@ -199,13 +201,30 @@ class ConstraintSystem:
 
 
 def residual(system: ConstraintSystem, rho) -> Residual:
-    vec = np.zeros(system.residual_dim)
-    dev = np.zeros(len(system.loops))
+    return _linearise(system, rho, derivatives=False)[0]
+
+
+def _linearise(system: ConstraintSystem, rho, derivatives: bool = True):
+    """``(Residual, J)`` at one state (j,) or a batch (..., j), from one
+    :func:`chain_products` call per loop group; J, shape (..., 3i+6h, j), is
+    None without ``derivatives``.  This is the one pass over the loops."""
+    rho = np.asarray(rho, dtype=float)
+    batch = rho.shape[:-1]
+    vec = np.zeros(batch + (system.residual_dim,))
+    dev = np.zeros(batch + (len(system.loops),))
+    J = np.zeros(batch + (system.residual_dim, system.n_vars)) if derivatives else None
     for kind, index, rows, betas, offsets, vars_ in system.groups:
-        T = chain_products(betas, offsets, vars_, rho)
-        vec[rows] = loop_scalars(T, kind)
-        dev[index] = loop_deviation(T, kind)
-    return Residual(vec, dev, float(dev.max(initial=0.0)))
+        if derivatives:
+            T, D, _ = chain_products(betas, offsets, vars_, rho, derivatives=True)
+            # a crease crossed twice by one loop adds both derivatives
+            np.add.at(J, (..., rows[:, None, :], vars_[:, :, None]),
+                      loop_scalars(D, kind))
+        else:
+            T = chain_products(betas, offsets, vars_, rho)
+        vec[..., rows] = loop_scalars(T, kind)
+        dev[..., index] = loop_deviation(T, kind)
+    norm = dev.max(axis=-1, initial=0.0)
+    return Residual(vec, dev, norm if batch else float(norm)), J
 
 
 def build_system(pattern: CreasePattern) -> ConstraintSystem:
@@ -318,10 +337,10 @@ def vertex_loop(alphas, var_indices, label="") -> Loop:
                 offsets=np.zeros((len(alphas), 2)), label=label)
 
 
-def is_flat_state(rho, tol: float = 1e-9) -> bool:
+def is_flat_state(rho) -> bool:
     """Every folding angle at +-pi (a flat folded state distinct from 0)."""
     rho = np.asarray(rho, dtype=float)
     if rho.size == 0:
         return False
-    return bool(np.all(np.abs(np.abs(rho) - math.pi) <= tol))
+    return bool(np.all(np.abs(np.abs(rho) - math.pi) <= FLAT_TOL))
 

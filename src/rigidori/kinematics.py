@@ -61,18 +61,6 @@ class PanelFrame:
     panel: int
     transform: np.ndarray  # 4x4, chain frame -> global
 
-    @property
-    def origin(self) -> np.ndarray:
-        return self.transform[:3, 3]
-
-    @property
-    def x_axis(self) -> np.ndarray:
-        return self.transform[:3, 0]
-
-    @property
-    def z_axis(self) -> np.ndarray:
-        return self.transform[:3, 2]
-
 
 class _Tree(NamedTuple):
     """Chains merged on their shared prefixes, as arrays.

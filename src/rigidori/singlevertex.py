@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import loop_deviation, system_from_loops, vertex_loop
+from .constraints import RESIDUAL_TOL, loop_deviation, system_from_loops, vertex_loop
 from .errors import BadAngles, NoCase, NotDegree3
 from .model import TWO_PI
 from .tracking import correct_batch
 
 ANGLE_TOL = 1e-9
 SOLUTION_RESIDUAL_TOL = 1e-10
+# corrector iterations of each explore_vertex start
+EXPLORE_MAX_ITER = 40
 
 
 @dataclass
@@ -63,16 +65,6 @@ class VertexSolutionSet:
         for f in self.families:
             best = min(best, f.distance(rho))
         return best
-
-    def contains(self, rho, tol: float = 1e-6) -> bool:
-        return self.distance(rho) <= tol
-
-    def sample(self, per_family: int = 9) -> list[np.ndarray]:
-        out = [p.copy() for p in self.points]
-        for f in self.families:
-            for t in np.linspace(-math.pi, math.pi, per_family):
-                out.append(f.point(float(t)))
-        return out
 
 
 def _check_alphas(alphas, n_expected=None):
@@ -292,11 +284,10 @@ def classify_vertex(alphas) -> SingleVertexCase:
 
 # -- numeric exploration ------------------------------------------------------
 
-def explore_vertex(alphas, sweep_var: int = 0, grid_step: float = math.pi / 50,
-                   residual_tol: float = 1e-9, max_iter: int = 40) -> list[np.ndarray]:
+def explore_vertex(alphas, grid_step: float = math.pi / 50) -> list[np.ndarray]:
     """Grid-seeded Gauss-Newton search for all loop solutions.
 
-    One folding angle is swept over a grid and, together with a few start
+    The first folding angle is swept over a grid and, together with a few start
     templates for the remaining angles, seeds a least-norm Gauss-Newton
     solve over all n angles at once; fixing the swept angle would miss
     isolated solutions lying between grid values.  The solve is the
@@ -313,9 +304,9 @@ def explore_vertex(alphas, sweep_var: int = 0, grid_step: float = math.pi / 50,
 
     starts = [np.zeros(n), np.full(n, 1.5), np.full(n, -1.5)]
     R = np.vstack([np.tile(x0, (G, 1)) for x0 in starts])
-    R[:, sweep_var] = np.tile(grid, len(starts))
+    R[:, 0] = np.tile(grid, len(starts))
     loop = vertex_loop(alphas, range(n))
-    R = correct_batch(system_from_loops([loop], n), R, max_iter)
+    R = correct_batch(system_from_loops([loop], n), R, EXPLORE_MAX_ITER)
     dev = loop_deviation(loop.transform(R), "vertex")
-    ok = (dev <= residual_tol) & (np.abs(R).max(axis=1) <= math.pi + 1e-9)
+    ok = (dev <= RESIDUAL_TOL) & (np.abs(R).max(axis=1) <= math.pi + 1e-9)
     return list(R[ok])

@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import RANK_REL_TOL, _linear_residual, _linearise, _rank_split, jacobian
-from .constraints import RESIDUAL_TOL, ConstraintSystem, Loop, Residual, residual
+from .analysis import FLEX_TOL, RANK_REL_TOL, _rank_split, jacobian
+from .constraints import (RESIDUAL_TOL, ConstraintSystem, Loop, Residual, _linearise,
+                          residual)
 from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
                      NotForest, NotOnVariety)
 
@@ -46,6 +47,12 @@ CORRECTOR_TOL = 1e-11
 MAX_CORRECTOR_ITER = 25
 # factor by which a certified Jacobian keeps its rank from the SVD cutoff
 ROW_MARGIN = 100.0
+# max-norm distance from the target at which track_to has reached it
+TARGET_TOL = 1e-6
+# each side of a loop_flex_path, and the rows of a compose_forest path
+LOOP_PATH_STEPS = 60
+LOOP_PATH_STEP = DEFAULT_STEP * 4
+FOREST_SAMPLES = 41
 
 
 @dataclass
@@ -116,7 +123,7 @@ def gauss_newton_correct(system: ConstraintSystem, rho,
     rho = np.asarray(rho, dtype=float).copy()
     certified = flex is not None
     for it in range(max_iter + 1):
-        res, J = _linear_residual(system, rho)
+        res, J = _linearise(system, rho)
         if res.max_norm <= tol or it == max_iter:
             return Correction(rho, it, res.max_norm <= tol, res, J, certified)
         solved = None if flex is None else _flex_solve(J, flex, rank_tol, -res.vector)
@@ -151,8 +158,8 @@ def correct_batch(system: ConstraintSystem, states,
         if not len(live):
             break
         X = R[live]
-        res, _, J = _linearise(system, X)
-        lam = np.linalg.solve(J @ J.transpose(0, 2, 1) + reg, -res[..., None])
+        res, J = _linearise(system, X)
+        lam = np.linalg.solve(J @ J.transpose(0, 2, 1) + reg, -res.vector[..., None])
         dx = (J.transpose(0, 2, 1) @ lam)[..., 0]
         X += dx
         R[live] = X
@@ -217,7 +224,6 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
                residual_tol: float = RESIDUAL_TOL,
                corrector_tol: float = CORRECTOR_TOL,
                rank_tol: float = RANK_REL_TOL,
-               flex_tol: float = 1e-6,
                collision_check=None) -> FoldPath:
     """Continuation from ``rho0`` along a first-order flex.
 
@@ -228,7 +234,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
     :class:`NotAFlex` or :class:`CorrectorDiverged`.
     """
     rho = np.asarray(rho0, dtype=float).copy()
-    res0, J = _linear_residual(system, rho)
+    res0, J = _linearise(system, rho)
     if not res0.satisfied(residual_tol):
         raise NotOnVariety(f"start residual {res0.max_norm:.3e}")
     direction = np.asarray(direction, dtype=float).copy()
@@ -236,7 +242,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
     if nrm == 0.0:
         raise NotAFlex("zero direction")
     direction /= nrm
-    if J.size and float(np.abs(J @ direction).max()) > flex_tol:
+    if J.size and float(np.abs(J @ direction).max()) > FLEX_TOL:
         raise NotAFlex(f"J . direction = {np.abs(J @ direction).max():.3e}")
 
     samples = [rho.copy()]
@@ -267,43 +273,31 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
             err.path = FoldPath(np.array(samples), residuals, "corrector-diverged",
                                 pred_lengths, corr_iters)
             raise err
-        cand, iters, J = accepted.rho, accepted.iterations, accepted.jacobian
-        cand_norm = accepted.residual.max_norm
-
+        cand, J = accepted.rho, accepted.jacobian
         if float(np.abs(cand).max()) >= math.pi - 1e-12:
-            samples.append(cand)
-            residuals.append(cand_norm)
-            pred_lengths.append(h)
-            corr_iters.append(iters)
             termination = "angle-bound"
-            break
-
-        solved = _flex_solve(J, flex, rank_tol) if certified else None
-        if solved is None:
-            # a rank event, or an iterate that did not certify
-            rank_here, flex, _ = _rank_split(J, rank_tol)
         else:
-            flex = solved[0]
-            rank_here = len(flex) - flex.shape[1]
-        new_tan = flex @ (flex.T @ tangent)
-        if rank_here < max_rank_seen:
-            samples.append(cand)
-            residuals.append(cand_norm)
-            pred_lengths.append(h)
-            corr_iters.append(iters)
-            termination = "branch-point"
-            break
-        max_rank_seen = max(max_rank_seen, rank_here)
-
-        if collision_check is not None and collision_check(cand):
-            termination = "collision"
-            break
+            solved = _flex_solve(J, flex, rank_tol) if certified else None
+            if solved is None:
+                # a rank event, or an iterate that did not certify
+                rank_here, flex, _ = _rank_split(J, rank_tol)
+            else:
+                flex = solved[0]
+                rank_here = len(flex) - flex.shape[1]
+            if rank_here < max_rank_seen:
+                termination = "branch-point"
+            elif collision_check is not None and collision_check(cand):
+                termination = "collision"
+                break
+            max_rank_seen = max(max_rank_seen, rank_here)
 
         samples.append(cand)
-        residuals.append(cand_norm)
+        residuals.append(accepted.residual.max_norm)
         pred_lengths.append(h)
-        corr_iters.append(iters)
-
+        corr_iters.append(accepted.iterations)
+        if termination != "steps":
+            break
+        new_tan = flex @ (flex.T @ tangent)
         nrm = math.sqrt(new_tan @ new_tan)
         if nrm < 1e-9:
             termination = "flex-lost"
@@ -316,25 +310,20 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
 
 
 def track_to(system: ConstraintSystem, rho_start, rho_target,
-             step_size: float = DEFAULT_STEP,
-             residual_tol: float = RESIDUAL_TOL,
-             corrector_tol: float = CORRECTOR_TOL,
-             rank_tol: float = RANK_REL_TOL,
-             target_tol: float = 1e-6,
              max_steps: int = 20000) -> FoldPath:
     """Greedy continuation steering the tangent toward a target state.
 
     Both endpoints must be on the variety.  Success means the terminal
-    sample lies within ``target_tol`` of the target in max-norm; failure
+    sample lies within ``TARGET_TOL`` of the target in max-norm; failure
     (termination "stalled") is evidence, not proof, that the states are not
     0-connected.  Branch switches through special points are attempted by
     re-projecting short hops toward the target when progress stops.
     """
     rho = np.asarray(rho_start, dtype=float).copy()
     target = np.asarray(rho_target, dtype=float)
-    start = residual(system, rho)
+    start, J = _linearise(system, rho)
     for name, r in (("start", start), ("target", residual(system, target))):
-        if not r.satisfied(residual_tol):
+        if not r.satisfied():
             raise NotOnVariety(f"{name} residual {r.max_norm:.3e}")
 
     samples = [rho.copy()]
@@ -342,25 +331,27 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
     termination = "stalled"
     best_dist = float(np.linalg.norm(rho - target))
     no_progress = 0
+    basis = None  # the flexes at rho, decomposed again only after rho moves
 
     for _ in range(max_steps):
         diff = target - rho
-        if float(np.abs(diff).max()) <= target_tol:
+        if float(np.abs(diff).max()) <= TARGET_TOL:
             termination = "target-reached"
             break
 
-        _, basis, _ = _rank_split(jacobian(system, rho), rank_tol)
+        if basis is None:
+            _, basis, _ = _rank_split(J)
         proj = basis @ (basis.T @ diff)
         pnorm = float(np.linalg.norm(proj))
         moved = False
         if pnorm > 1e-9:
             u = proj / pnorm
-            h = min(step_size, float(np.linalg.norm(diff)))
-            while h >= step_size / 64.0:
-                c = gauss_newton_correct(system, rho + h * u, corrector_tol)
-                if (c.converged and c.residual.max_norm <= residual_tol
+            h = min(DEFAULT_STEP, float(np.linalg.norm(diff)))
+            while h >= DEFAULT_STEP / 64.0:
+                c = gauss_newton_correct(system, rho + h * u)
+                if (c.converged and c.residual.max_norm <= RESIDUAL_TOL
                         and float(np.abs(c.rho).max()) <= math.pi + 1e-9):
-                    rho = c.rho
+                    rho, J, basis = c.rho, c.jacobian, None
                     samples.append(rho.copy())
                     residuals.append(c.residual.max_norm)
                     moved = True
@@ -375,25 +366,19 @@ def track_to(system: ConstraintSystem, rho_start, rho_target,
         no_progress += 1
 
         if no_progress >= 12:
-            hopped = _hop_toward(system, rho, target, step_size,
-                                 corrector_tol, residual_tol, best_dist)
+            hopped = _hop_toward(system, rho, target, best_dist)
             if hopped is None:
-                termination = "stalled"
                 break
-            rho = hopped.rho
+            rho, J, basis = hopped.rho, hopped.jacobian, None
             samples.append(rho.copy())
             residuals.append(hopped.residual.max_norm)
             best_dist = float(np.linalg.norm(rho - target))
             no_progress = 0
 
-    else:
-        termination = "stalled"
-
     return FoldPath(np.array(samples), residuals, termination)
 
 
-def _hop_toward(system, rho, target, step_size, corrector_tol,
-                residual_tol, best_dist):
+def _hop_toward(system, rho, target, best_dist):
     """Short re-projected hops across a special point toward the target:
     the :class:`Correction` of the first that gets closer, or None."""
     diff = target - rho
@@ -402,9 +387,9 @@ def _hop_toward(system, rho, target, step_size, corrector_tol,
         return None
     u = diff / nrm
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
-        h = min(step_size * scale, nrm)
-        c = gauss_newton_correct(system, rho + h * u, corrector_tol)
-        if not c.converged or c.residual.max_norm > residual_tol:
+        h = min(DEFAULT_STEP * scale, nrm)
+        c = gauss_newton_correct(system, rho + h * u)
+        if not c.converged or c.residual.max_norm > RESIDUAL_TOL:
             continue
         if float(np.abs(c.rho).max()) > math.pi + 1e-9:
             continue
@@ -427,8 +412,7 @@ def single_loop_system(system: ConstraintSystem, loop_index: int):
 
 
 def loop_flex_path(system: ConstraintSystem, rho, loop_index: int,
-                   prefer_var: int | None = None, steps: int = 60,
-                   step_size: float = DEFAULT_STEP * 4) -> FoldPath:
+                   prefer_var: int | None = None) -> FoldPath:
     """Two-sided flex path of one loop's restriction through the base state.
 
     The flex direction is chosen to move ``prefer_var`` (a global variable
@@ -452,8 +436,10 @@ def loop_flex_path(system: ConstraintSystem, rho, loop_index: int,
         direction = basis[:, 0]
     direction = direction / np.linalg.norm(direction)
 
-    fwd = track_flex(sub, base, direction, steps=steps, step_size=step_size)
-    back = track_flex(sub, base, -direction, steps=steps, step_size=step_size)
+    fwd = track_flex(sub, base, direction, steps=LOOP_PATH_STEPS,
+                     step_size=LOOP_PATH_STEP)
+    back = track_flex(sub, base, -direction, steps=LOOP_PATH_STEPS,
+                      step_size=LOOP_PATH_STEP)
     merged = np.vstack([back.samples[::-1], fwd.samples[1:]])
     resid = back.residuals[::-1] + fwd.residuals[1:]
     return FoldPath(merged, resid, "two-sided", crease_indices=var_ids)
@@ -522,9 +508,8 @@ def _monotone_window(values: np.ndarray, center: int):
     return lo, hi
 
 
-def compose_forest(system: ConstraintSystem, rho, per_loop_paths: dict[int, FoldPath],
-                   n_samples: int = 41, residual_tol: float = RESIDUAL_TOL,
-                   corrector_tol: float = CORRECTOR_TOL) -> FoldPath:
+def compose_forest(system: ConstraintSystem, rho,
+                   per_loop_paths: dict[int, FoldPath]) -> FoldPath:
     """Glue single-loop motions into a global path through ``rho``.
 
     Requires the loop-sharing structure to be a forest (else
@@ -537,7 +522,7 @@ def compose_forest(system: ConstraintSystem, rho, per_loop_paths: dict[int, Fold
     rho = np.asarray(rho, dtype=float)
     edges = _sharing_forest(system)  # structural check first
     base_res = residual(system, rho)
-    if not base_res.satisfied(residual_tol):
+    if not base_res.satisfied():
         raise NotOnVariety(f"base residual {base_res.max_norm:.3e}")
 
     n_loops = len(system.loops)
@@ -552,8 +537,8 @@ def compose_forest(system: ConstraintSystem, rho, per_loop_paths: dict[int, Fold
 
     # master grid rows; every loop contributes an angle track per row, and
     # rows whose shared angle leaves a child's attainable range are dropped
-    composed = np.tile(rho, (n_samples, 1))
-    valid = np.ones(n_samples, dtype=bool)
+    composed = np.tile(rho, (FOREST_SAMPLES, 1))
+    valid = np.ones(FOREST_SAMPLES, dtype=bool)
     placed: set[int] = set()
     adj: dict[int, list[tuple[int, int]]] = {k: [] for k in range(n_loops)}
     for a, b, shared in edges:
@@ -582,8 +567,8 @@ def compose_forest(system: ConstraintSystem, rho, per_loop_paths: dict[int, Fold
     polished = []
     residuals = []
     for row in kept:
-        c = gauss_newton_correct(system, row, corrector_tol)
-        if not c.converged or not c.residual.satisfied(residual_tol):
+        c = gauss_newton_correct(system, row)
+        if not c.converged or not c.residual.satisfied():
             raise CorrectorDiverged("composed sample failed to polish")
         polished.append(c.rho)
         residuals.append(c.residual.max_norm)

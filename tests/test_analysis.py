@@ -6,6 +6,7 @@ import pytest
 from rigidori import (angular_velocities, build_system, classify,
                       deg_formula_developable, gauss_newton_correct, jacobian,
                       panel_frames, residual, system_from_loops, vertex_loop)
+from rigidori.constraints import Loop
 from rigidori.errors import NotAFlex, NotDevelopable, NotOnVariety
 from rigidori import patterns
 
@@ -28,6 +29,20 @@ def test_jacobian_matches_finite_differences(make, label, rng):
         Jf = fd_jacobian(system, rho)
         scale = max(np.abs(Jf).max(), 1.0)
         assert np.abs(Ja - Jf).max() / scale < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["vertex", "hole"])
+def test_jacobian_of_a_crease_crossed_twice(kind, rng):
+    # crease 0 is crossed twice, so its column is the sum of two derivatives
+    offsets = None if kind == "vertex" else rng.uniform(-1.0, 1.0, (4, 2))
+    loop = Loop(kind=kind, vars=[0, 1, 0, 2], betas=[1.0, 1.3, 1.9, 2.0],
+                offsets=offsets)
+    system = system_from_loops([loop], 3)
+    for _ in range(6):
+        rho = rng.uniform(-2.0, 2.0, 3)
+        Jf = fd_jacobian(system, rho)
+        scale = max(np.abs(Jf).max(), 1.0)
+        assert np.abs(jacobian(system, rho) - Jf).max() / scale < 1e-6
 
 
 @pytest.mark.parametrize("make", [patterns.cross_vertex, patterns.pentagon_ring,

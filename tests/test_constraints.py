@@ -5,7 +5,7 @@ import pytest
 
 from rigidori import (build_system, is_flat_state, residual, system_from_loops,
                       vertex_loop)
-from rigidori.constraints import Loop, _hole_loop, chain_products
+from rigidori.constraints import Loop, _hole_loop, _linearise, chain_products
 from rigidori import patterns
 
 from conftest import random_solved_states
@@ -181,3 +181,21 @@ def test_zero_length_chain_is_identity_with_zero_rate():
     assert np.array_equal(T, np.broadcast_to(np.eye(4), (2, 4, 4)))
     assert D.shape == (2, 0, 4, 4)
     assert np.array_equal(P, np.broadcast_to(np.eye(4), (2, 1, 4, 4)))
+
+
+@pytest.mark.parametrize("make", [patterns.cross_vertex, patterns.pentagon_ring,
+                                  patterns.square_ring, patterns.miura_3x3])
+def test_linearise_without_derivatives_gives_the_same_residual(make, rng):
+    system = build_system(make())
+    states = rng.uniform(-math.pi, math.pi, (2, 3, system.n_vars))
+    res, J = _linearise(system, states, derivatives=False)
+    full, _ = _linearise(system, states)
+    assert J is None
+    assert res.max_norm.shape == (2, 3)
+    for got, want in ((res.vector, full.vector), (res.max_norm, full.max_norm),
+                      (res.loop_deviations, full.loop_deviations)):
+        assert got.tobytes() == want.tobytes()
+    for idx in np.ndindex(2, 3):
+        one = residual(system, states[idx])
+        assert one.vector.tobytes() == res.vector[idx].tobytes()
+        assert one.max_norm == res.max_norm[idx]

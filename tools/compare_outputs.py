@@ -89,6 +89,12 @@ whose linear solve rounds differently moved them by at most 3.7e-15).  They also
 draws: the corrected states, the iteration counts and the convergence
 flags must be equal bit for bit.
 
+Both runs also record whether ``track_flex`` and ``angular_velocities``
+raise ``NotAFlex``, the one flex-tolerance decision both make.  At the flat
+state of the cross vertex and of ``miura_3x3``, the OLD run tilts a flex
+toward the direction that J moves most, to |J d|max of 0.5, 0.99, 1.01 and
+2 times 1e-6 with |d| = 1.  The outcomes must be equal.
+
 Both runs also record ``validate_pattern`` on perturbed copies of the
 fixtures: 150 per fixture for each of three perturbations, which move one
 vertex, snap one vertex onto a crease or snap one vertex onto another
@@ -115,7 +121,7 @@ ANGULAR_TOL = 1e-14     # flexes are scaled to max-norm 1
 VALIDATE_DRAWS = 150
 PACKING_DRAWS = 2000
 # outputs compared bit for bit
-EXACT = ("explore", "track_to", "correct")
+EXACT = ("explore", "track_to", "correct", "flextol")
 
 
 def dump(out: str, states_from: str | None) -> None:
@@ -152,6 +158,7 @@ def dump(out: str, states_from: str | None) -> None:
                 data[f"{name}/{i}/fold_mesh/{p}"] = poly
     dump_placement(data, given)
     dump_angular(data, given)
+    dump_flex_tol(data, given)
     dump_contact(data, given)
     dump_generic(data)
     dump_packing(data)
@@ -275,6 +282,42 @@ def dump_angular(data: dict, given) -> None:
         data[f"angular/{name}/flex"] = flex
         data[f"angular/{name}/angular_velocities"] = ro.angular_velocities(
             pat, rho, flex, system=system)
+
+
+def dump_flex_tol(data: dict, given) -> None:
+    """``NotAFlex`` or not from ``track_flex`` and ``angular_velocities`` on
+    flexes of the flat cross vertex and ``miura_3x3`` tilted out of the null
+    space to |J d|max of 0.5 to 2 times 1e-6."""
+    import rigidori as ro
+    from rigidori import patterns
+    from rigidori.errors import NotAFlex
+
+    def outcome(call, *args, **kwargs) -> str:
+        try:
+            call(*args, **kwargs)
+        except NotAFlex:
+            return "NotAFlex"
+        return "flex"
+
+    for name in ("cross_vertex", "miura_3x3"):
+        pat = getattr(patterns, name)()
+        system = ro.build_system(pat)
+        rho = np.zeros(pat.n_vars)
+        J = ro.jacobian(system, rho)
+        flex = ro.classify(system, rho).flex_basis[:, 0]
+        across = np.linalg.svd(J)[2][0]
+        for c in (0.5, 0.99, 1.01, 2.0):
+            key = f"flextol/{name}-{c}"
+            if given is not None:
+                d = given[f"{key}/direction"]
+            else:
+                d = flex + c * 1e-6 / np.abs(J @ across).max() * across
+                d /= np.linalg.norm(d)
+            data[f"{key}/direction"] = d
+            data[f"{key}/outcome"] = np.array(json.dumps({
+                "track_flex": outcome(ro.track_flex, system, rho, d, steps=0),
+                "angular_velocities": outcome(ro.angular_velocities, pat, rho, d,
+                                              system=system)}))
 
 
 def dump_generic(data: dict) -> None:
