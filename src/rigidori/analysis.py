@@ -18,7 +18,7 @@ from .kinematics import TransferChain, _tree, _walk
 from .model import TWO_PI, CreasePattern
 
 RANK_REL_TOL = 1e-8
-# largest max-norm of J d, relative to d, for which d counts as a flex
+# largest max-norm of J d, per unit 2-norm of d, for which d counts as a flex
 FLEX_TOL = 1e-6
 # agreement required of the two angular-velocity recursions, relative to rho_dot
 IDENTITY_TOL = 1e-8
@@ -34,6 +34,17 @@ def jacobian(system: ConstraintSystem, rho) -> np.ndarray:
     creases fold freely.
     """
     return _linearise(system, rho)[1]
+
+
+def _require_flex(J: np.ndarray, d: np.ndarray, name: str) -> None:
+    """Raise :class:`NotAFlex` unless |J d|max <= ``FLEX_TOL`` |d|_2, the
+    one flex test: it does not change when d is scaled."""
+    if J.size:
+        drive = float(np.abs(J @ d).max())
+        size = float(np.linalg.norm(d))
+        if drive > FLEX_TOL * size:
+            raise NotAFlex(f"J . {name} has max entry {drive:.3e} "
+                           f"at |{name}|_2 = {size:.3e}")
 
 
 def _rank_split(J: np.ndarray, rel_tol: float = RANK_REL_TOL):
@@ -128,12 +139,7 @@ def angular_velocities(pattern: CreasePattern, rho, rho_dot,
     rho_dot = np.asarray(rho_dot, dtype=float)
     if system is None:
         system = build_system(pattern)
-    J = jacobian(system, rho)
-    if J.size and rho_dot.size:
-        drive = float(np.abs(J @ rho_dot).max())
-        scale = max(1.0, float(np.abs(rho_dot).max(initial=0.0)))
-        if drive > FLEX_TOL * scale:
-            raise NotAFlex(f"J . rho_dot has max entry {drive:.3e}")
+    _require_flex(jacobian(system, rho), rho_dot, "rho_dot")
     panels = range(len(pattern.panels)) if chains is None else sorted(chains)
     tree = _tree(pattern, chains, panels)
     F, T = _walk(tree, rho)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import FLEX_TOL, RANK_REL_TOL, _rank_split, jacobian
+from .analysis import RANK_REL_TOL, _rank_split, _require_flex, jacobian
 from .constraints import (RESIDUAL_TOL, ConstraintSystem, Loop, Residual, _linearise,
                           residual)
 from .errors import (CorrectorDiverged, NonGenericIntersection, NotAFlex,
@@ -188,12 +188,17 @@ def _flex_solve(J, N, rank_tol, b=None):
     flex v.  The same solve gives A^-1 J^T b, which differs from J^+ b by a
     flex, so x is its part orthogonal to Q.  numpy has no triangular solve,
     so A^-1 is applied by ``np.linalg.solve``.  N N^T has eigenvalue 1, so
-    with d > 0 no J with M rank_tol hi >= 1 certifies.
+    with d > 0 no J with M rank_tol hi >= 1 certifies.  Where hi = 0 (J has
+    no rows, or J = 0) the shift is zero, and a Cholesky factor of the
+    singular N N^T proves nothing, so the call refuses unless d = j: J = 0
+    has rank 0.
     """
     row_sq = np.einsum("ij,ij->i", J, J).tolist()
     hi = math.sqrt(sum(row_sq))
     lo = math.sqrt(max(row_sq, default=0.0))
     n, d = N.shape
+    if hi == 0.0 and d < n:
+        return None
     A = J.T @ J + N @ N.T
     shifted = A.copy()
     shifted.flat[::n + 1] -= (ROW_MARGIN * rank_tol * hi) ** 2
@@ -219,6 +224,15 @@ def _flex_solve(J, N, rank_tol, b=None):
     return Q, x - Q @ (Q.T @ x)
 
 
+def _certified_split(J, N, rank_tol):
+    """``(rank, flexes)`` of J: from the Gram certificate on N where it
+    holds (:func:`_flex_solve`), else from the SVD (``_rank_split``)."""
+    solved = _flex_solve(J, N, rank_tol)
+    if solved is None:
+        return _rank_split(J, rank_tol)[:2]
+    return J.shape[1] - N.shape[1], solved[0]
+
+
 def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
                step_size: float = DEFAULT_STEP,
                residual_tol: float = RESIDUAL_TOL,
@@ -242,25 +256,22 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
     if nrm == 0.0:
         raise NotAFlex("zero direction")
     direction /= nrm
-    if J.size and float(np.abs(J @ direction).max()) > FLEX_TOL:
-        raise NotAFlex(f"J . direction = {np.abs(J @ direction).max():.3e}")
+    _require_flex(J, direction, "direction")
 
     samples = [rho.copy()]
     residuals = [res0.max_norm]
     pred_lengths: list[float] = []
     corr_iters: list[int] = []
     tangent = direction
-    max_rank_seen, flex, _ = _rank_split(J, rank_tol)
+    max_rank_seen, flex = _certified_split(J, direction[:, None], rank_tol)
     termination = "steps"
 
     for _ in range(steps):
         h = step_size
         accepted = None
-        certified = True
         while h >= step_size / 64.0:
             c = gauss_newton_correct(system, rho + h * tangent, corrector_tol,
                                      flex=flex, rank_tol=rank_tol)
-            certified = certified and c.certified
             if (c.converged and c.residual.max_norm <= residual_tol
                     and float(np.abs(c.rho - rho).max()) <= 3.0 * h):
                 # the continuity bound rejects correctors that jumped branches
@@ -277,13 +288,7 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
         if float(np.abs(cand).max()) >= math.pi - 1e-12:
             termination = "angle-bound"
         else:
-            solved = _flex_solve(J, flex, rank_tol) if certified else None
-            if solved is None:
-                # a rank event, or an iterate that did not certify
-                rank_here, flex, _ = _rank_split(J, rank_tol)
-            else:
-                flex = solved[0]
-                rank_here = len(flex) - flex.shape[1]
+            rank_here, flex = _certified_split(J, flex, rank_tol)
             if rank_here < max_rank_seen:
                 termination = "branch-point"
             elif collision_check is not None and collision_check(cand):

@@ -5,7 +5,8 @@ import pytest
 
 from rigidori import (angular_velocities, build_system, classify,
                       deg_formula_developable, gauss_newton_correct, jacobian,
-                      panel_frames, residual, system_from_loops, vertex_loop)
+                      panel_frames, residual, system_from_loops, track_flex,
+                      vertex_loop)
 from rigidori.constraints import Loop
 from rigidori.errors import NotAFlex, NotDevelopable, NotOnVariety
 from rigidori import patterns
@@ -221,6 +222,39 @@ def test_angular_velocity_rejects_non_flex():
     pat = patterns.cross_vertex()
     with pytest.raises(NotAFlex):
         angular_velocities(pat, np.zeros(4), np.array([1.0, 0.3, 0, 0]))
+
+
+def _flex_outcomes(system, pat, rho, d):
+    """Whether ``track_flex`` and ``angular_velocities`` take d as a flex."""
+    out = []
+    for call in (lambda: track_flex(system, rho, d, steps=0),
+                 lambda: angular_velocities(pat, rho, d, system=system)):
+        try:
+            call()
+        except NotAFlex:
+            out.append(False)
+        else:
+            out.append(True)
+    return out
+
+
+def test_flex_test_is_scale_free_and_shared():
+    pat = patterns.miura_3x3()
+    system = build_system(pat)
+    rho = np.zeros(pat.n_vars)
+    J = jacobian(system, rho)
+    flex = classify(system, rho).flex_basis[:, 0]
+    across = np.linalg.svd(J)[2][0]
+    # a flex at max-norm 1 (2-norm 2.17), tilted to |J d|max = 1.5e-6
+    d = flex / np.abs(flex).max()
+    d = d + 1.5e-6 / np.abs(J @ across).max() * across
+    assert np.linalg.norm(d) > 2.0
+    assert np.abs(J @ d).max() == pytest.approx(1.5e-6, rel=1e-6)
+    for scale in (1e-7, 1.0, 1e3):
+        assert _flex_outcomes(system, pat, rho, scale * d) == [True, True]
+    # the direction that J moves most is no flex at any scale (|J v|max 0.94)
+    for scale in (1e-7, 1.0, 1e3):
+        assert _flex_outcomes(system, pat, rho, scale * across) == [False, False]
 
 
 def test_numeric_rank_empty_system():

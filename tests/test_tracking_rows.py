@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rigidori import (build_system, classify, gauss_newton_correct, patterns,
-                      residual, track_flex)
+                      residual, track_flex, tracking)
 from rigidori.analysis import RANK_REL_TOL, _rank_split, jacobian
 from rigidori.constraints import RESIDUAL_TOL
 from rigidori.errors import CorrectorDiverged
@@ -146,10 +146,10 @@ def test_track_matches_per_sample_svd_reference(name):
         assert (path.termination, len(path)) == ("branch-point", 19)
 
 
-def test_regular_miura_track_takes_one_svd_and_no_lstsq(monkeypatch):
-    system, rho, flex = miura_state(8)
-    calls = {"svd": 0, "lstsq": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names):
+    """A dict counting the calls of the named ``np.linalg`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -157,9 +157,49 @@ def test_regular_miura_track_takes_one_svd_and_no_lstsq(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_regular_miura_track_takes_no_svd_and_no_lstsq(monkeypatch):
+    system, rho, flex = miura_state(8)
+    calls = _count_calls(monkeypatch, "svd", "lstsq")
     path = track_flex(system, rho, flex, steps=30)
     assert path.termination == "steps" and len(path) == 31
-    assert calls == {"svd": 1, "lstsq": 0}
+    assert calls == {"svd": 0, "lstsq": 0}
+
+
+def test_start_certifies_a_tilted_direction(monkeypatch):
+    system, rho, flex = miura_state(8)
+    J = jacobian(system, rho)
+    across = np.linalg.svd(J)[2][0]
+    d = flex + 0.5e-6 / np.abs(J @ across).max() * across
+    d /= np.linalg.norm(d)
+    assert np.abs(J @ d).max() == pytest.approx(0.5e-6, rel=1e-3)
+    calls = _count_calls(monkeypatch, "svd")
+    path = track_flex(system, rho, d, steps=3)
+    assert path.termination == "steps" and len(path) == 4
+    assert calls == {"svd": 0}
+
+
+@pytest.mark.parametrize("name", ["cross-flat", "miura_3x3"])
+def test_start_with_several_flexes_takes_one_svd(monkeypatch, name):
+    """At a start whose null space has more than one dimension, one
+    direction cannot certify: the start takes the SVD, and its rank and the
+    track's termination are those of the per-sample-SVD reference."""
+    system, rho, direction, kwargs = TRACKS[name]()
+    assert classify(system, rho).deg > 1
+    splits = []
+
+    def recorded(J, rel_tol=RANK_REL_TOL):
+        splits.append(_rank_split(J, rel_tol))
+        return splits[-1]
+
+    monkeypatch.setattr(tracking, "_rank_split", recorded)
+    track_flex(system, rho, direction, steps=0)
+    assert len(splits) == 1
+    assert splits[0][0] == classify(system, rho).rank
+    want = reference_track(system, rho, direction, **kwargs)
+    assert track_flex(system, rho, direction, **kwargs).termination == want[2]
 
 
 # -- the certificate -------------------------------------------------------------
@@ -246,3 +286,30 @@ def test_flex_solve_spans_several_flexes(name):
         assert np.abs(Q @ (Q.T @ t) - flex @ (flex.T @ t)).max() <= 1e-12
         want, *_ = np.linalg.lstsq(J, b, rcond=1e-12)
         assert np.abs(x - want).max() <= 1e-12
+
+
+def test_flex_solve_refuses_a_zero_jacobian():
+    """With J = 0 the shift (M rank_tol hi)^2 is zero, and only a basis of
+    every variable certifies rank 0."""
+    rng = np.random.default_rng(9)
+    for J in (np.zeros((0, 2)), np.zeros((3, 4))):
+        n = J.shape[1]
+        for d in range(n):
+            for _ in range(20):
+                N = np.linalg.qr(rng.normal(size=(n, d)))[0]
+                assert _flex_solve(J, N, RANK_REL_TOL) is None
+                assert _flex_solve(J, N, RANK_REL_TOL, np.zeros(len(J))) is None
+        Q = _flex_solve(J, np.eye(n), RANK_REL_TOL)[0]
+        assert np.abs(Q - np.eye(n)).max() <= 1e-15
+
+
+def test_track_without_loops_runs_every_step():
+    """``three_squares`` has no loop, so J is 0 x 2 and every direction is
+    a flex; no start may end early or raise."""
+    system = build_system(patterns.three_squares())
+    rng = np.random.default_rng(2000)
+    endings = {}
+    for direction in rng.normal(size=(2000, 2)):
+        path = track_flex(system, np.zeros(2), direction, steps=2)
+        endings[path.termination] = endings.get(path.termination, 0) + 1
+    assert endings == {"steps": 2000}

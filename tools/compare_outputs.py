@@ -61,11 +61,14 @@ Both runs also record ``track_flex`` paths: 100 steps from each of the six
 fixture tracks of ``tests/test_tracking_rows.py``: the cross vertex from
 flat along (0, 1, 0, 1), the cross vertex from (0.4, 0, 0.4, 0) with
 ``rank_tol=0.1``, ``square_ring``, ``pentagon_ring``, ``hexagon_fan`` and
-``miura_3x3`` from their flat states, and a 6x6 Miura state; and 20 steps
-on the 16x16 Miura mode.  The OLD run picks the starts and directions.  Samples must agree within 1e-9 (the
-tracker may take its steps from a different but equivalent linear solve);
-residuals within ``--tol``; the termination, the sample count, the
-predictor lengths and the corrector iterations must match exactly.
+``miura_3x3`` from their flat states, and a 6x6 Miura state; 20 steps
+on the 16x16 Miura mode and 10 on the 24x24 Miura mode; and 10 steps of
+``three_squares`` (no loops, so J has no rows) from flat along 200 seeded
+random directions.  The OLD run picks the starts and directions.  Samples
+must agree within 1e-9 (the tracker may take its steps from a different but
+equivalent linear solve); residuals within ``--tol``; the termination, the
+sample count, the predictor lengths and the corrector iterations must match
+exactly.
 
 Both runs also record the ordered list of ``explore_vertex`` roots on 40
 seeded degree-3 triples drawn as the benchmark's ``generic-batch`` workload
@@ -119,6 +122,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_TOL = 1e-9
 ANGULAR_TOL = 1e-14     # flexes are scaled to max-norm 1
 VALIDATE_DRAWS = 150
+THREE_SQUARES_DRAWS = 200
 PACKING_DRAWS = 2000
 # outputs compared bit for bit
 EXACT = ("explore", "track_to", "correct", "flextol")
@@ -394,6 +398,15 @@ def dump_tracks(data: dict, given) -> None:
     miura16 = loaded(patterns.sheared_grid(16, 16, shear=SHEAR))
     cases["miura16"] = lambda: (miura16.system, *miura_state(miura16, 1.0),
                                 {"steps": 20})
+    miura24 = loaded(patterns.sheared_grid(24, 24, shear=SHEAR))
+    cases["miura24"] = lambda: (miura24.system, *miura_state(miura24, 1.0),
+                                {"steps": 10})
+    # no loops: J is 0 x 2, and every direction is a flex
+    strip = loaded(patterns.three_squares()).system
+    rng = np.random.default_rng(29)
+    for k, direction in enumerate(rng.normal(size=(THREE_SQUARES_DRAWS, 2))):
+        cases[f"three_squares{k}"] = lambda direction=direction: (
+            strip, np.zeros(2), direction, {"steps": 10})
     # the motion workload's requests at seed 1
     motion = WORKLOADS["motion"]
     _, req_seq = np.random.SeedSequence(1).spawn(2)
