@@ -294,8 +294,11 @@ def explore_vertex(alphas, grid_step: float = math.pi / 50) -> list[np.ndarray]:
     one-loop case of :func:`tracking.correct_batch`, which iterates only the
     starts that are still active.  Returns every converged in-range solution
     in start order (duplicates included; callers cluster as needed).
-    This is the numeric fallback for degrees with no closed form and the
-    independent completeness oracle for the degree-3 solver.
+    This is the numeric fallback for degrees with no closed form and an
+    independent check of the degree-3 solver, not a proof of completeness:
+    the grid seeds can miss whole arcs, such as the regular arc of the
+    degree-4 vertex (1.0, 1.3, 1.9, 2 pi - 4.2) from the face rho_1 = -pi to
+    rho_4 = -pi, which no returned root comes within 2.57 of.
     """
     alphas = np.asarray(alphas, dtype=float)
     n = len(alphas)

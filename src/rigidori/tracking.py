@@ -5,16 +5,18 @@ Gauss-Newton, with least-squares steps or, given a flex basis, steps from
 the Gram matrix of the Jacobian and those flexes.  ``track_flex`` runs
 tangent-predictor / corrector continuation from a solved state and carries
 N, an orthonormal basis (j x d) of the flexes of its last certified
-Jacobian.  It decides the rank by SVD (``analysis._rank_split``) only at
-the start of a segment and after a rank event, and there N is the SVD null
-basis.  In between, every Jacobian J the tracker evaluates, each corrector
-iterate included, is certified on A = J^T J + N N^T (``_flex_solve``): the
-rank is j - d with the margin ``ROW_MARGIN`` on both sides of the SVD
-cutoff.  One solve with A gives the flexes Q of J (A^-1 N, orthonormalised)
-and the least-norm step J^+ b (A^-1 J^T b with its flex part removed).  The
-new tangent is the projection Q Q^T t, and Q is the next N.  An iterate
-that fails takes the least-squares step, and the next accepted sample goes
-back to the SVD.
+Jacobian; at the start N is the caller's direction.  Every Jacobian J the
+tracker evaluates, each corrector iterate included, is certified on
+A = J^T J + N N^T (``_flex_solve``): the rank is j - d with the margin
+``ROW_MARGIN`` on both sides of the SVD cutoff.  One solve with A gives the
+flexes Q of J (A^-1 N, orthonormalised) and the least-norm step J^+ b
+(A^-1 J^T b with its flex part removed).  The new tangent is the projection
+Q Q^T t, and Q is the next N.  An iterate that does not certify takes the
+least-squares step.  The tracker decides a rank by SVD
+(``analysis._rank_split``), with its null basis as the next N, only where
+the certificate refuses: at a start whose null space has more than one
+dimension, and at an accepted sample after a rank event.  A regular track
+takes no SVD.
 
 ``track_to`` steers greedily toward a target state and switches branches
 through special points when the straight tangent stalls; its failure is
@@ -240,6 +242,11 @@ def track_flex(system: ConstraintSystem, rho0, direction, steps: int = 100,
                rank_tol: float = RANK_REL_TOL,
                collision_check=None) -> FoldPath:
     """Continuation from ``rho0`` along a first-order flex.
+
+    ``direction`` is a flex when |J d|max <= ``analysis.FLEX_TOL`` |d|_2.
+    The rank at the start and at each accepted sample comes from the Gram
+    certificate on the last flexes, at the start the direction itself; only
+    where it refuses does the tracker take an SVD.
 
     Terminates on the step budget, on any folding angle reaching +-pi, on a
     rank drop (branch point), on loss of the tangent, or -- when a

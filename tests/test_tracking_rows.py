@@ -187,7 +187,8 @@ def test_start_with_several_flexes_takes_one_svd(monkeypatch, name):
     direction cannot certify: the start takes the SVD, and its rank and the
     track's termination are those of the per-sample-SVD reference."""
     system, rho, direction, kwargs = TRACKS[name]()
-    assert classify(system, rho).deg > 1
+    report = classify(system, rho)
+    assert report.deg > 1
     splits = []
 
     def recorded(J, rel_tol=RANK_REL_TOL):
@@ -197,7 +198,7 @@ def test_start_with_several_flexes_takes_one_svd(monkeypatch, name):
     monkeypatch.setattr(tracking, "_rank_split", recorded)
     track_flex(system, rho, direction, steps=0)
     assert len(splits) == 1
-    assert splits[0][0] == classify(system, rho).rank
+    assert splits[0][0] == report.rank
     want = reference_track(system, rho, direction, **kwargs)
     assert track_flex(system, rho, direction, **kwargs).termination == want[2]
 
@@ -289,8 +290,8 @@ def test_flex_solve_spans_several_flexes(name):
 
 
 def test_flex_solve_refuses_a_zero_jacobian():
-    """With J = 0 the shift (M rank_tol hi)^2 is zero, and only a basis of
-    every variable certifies rank 0."""
+    """With J = 0 the shift (M rank_tol hi)^2 is zero, so fewer flexes than
+    variables prove nothing (all of them certify rank 0, tested above)."""
     rng = np.random.default_rng(9)
     for J in (np.zeros((0, 2)), np.zeros((3, 4))):
         n = J.shape[1]
@@ -299,8 +300,6 @@ def test_flex_solve_refuses_a_zero_jacobian():
                 N = np.linalg.qr(rng.normal(size=(n, d)))[0]
                 assert _flex_solve(J, N, RANK_REL_TOL) is None
                 assert _flex_solve(J, N, RANK_REL_TOL, np.zeros(len(J))) is None
-        Q = _flex_solve(J, np.eye(n), RANK_REL_TOL)[0]
-        assert np.abs(Q - np.eye(n)).max() <= 1e-15
 
 
 def test_track_without_loops_runs_every_step():

@@ -402,7 +402,7 @@ def dump_tracks(data: dict, given) -> None:
     cases["miura24"] = lambda: (miura24.system, *miura_state(miura24, 1.0),
                                 {"steps": 10})
     # no loops: J is 0 x 2, and every direction is a flex
-    strip = loaded(patterns.three_squares()).system
+    strip = ro.build_system(patterns.three_squares())
     rng = np.random.default_rng(29)
     for k, direction in enumerate(rng.normal(size=(THREE_SQUARES_DRAWS, 2))):
         cases[f"three_squares{k}"] = lambda direction=direction: (
